@@ -2,8 +2,9 @@
 class-separation distances, and classical multidimensional scaling.
 
 This is the comparison arm: surfaces treated as plain point clouds with
-index correspondence, rigidly aligned by iterative closest point, and
-summarized by the same PCA machinery as the elastic pipeline.
+index correspondence, rigidly aligned by iterative closest point with
+the elastic pipeline's Procrustes step, and summarized by the same PCA
+machinery as the elastic pipeline.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError
+from .registration import _proper_rotation
+from .shape_stats import _principal_axes
 
 __all__ = [
     "IcpResult",
@@ -44,10 +47,7 @@ def _best_rigid(source: np.ndarray, target: np.ndarray):
     """Least-squares rigid transform mapping source onto target."""
     mu_s = source.mean(axis=0)
     mu_t = target.mean(axis=0)
-    h = (source - mu_s).T @ (target - mu_t)
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    rot = _proper_rotation((target - mu_t).T @ (source - mu_s))
     trans = mu_t - rot @ mu_s
     return rot, trans
 
@@ -156,11 +156,11 @@ def vertex_pca(clouds: list) -> PointModel:
         raise ValueError("all clouds must have the same point count")
     flat = np.stack([p.reshape(-1) for p in pts], axis=1)
     mean = flat.mean(axis=1)
-    u, s, _ = np.linalg.svd(flat - mean[:, None], full_matrices=False)
+    directions, singulars = _principal_axes(flat.T, mean)
     return PointModel(
         mean=mean.reshape(m, 3),
-        directions=u.T.copy(),
-        singulars=s,
+        directions=directions,
+        singulars=singulars,
         n_train=len(clouds),
     )
 

@@ -1,9 +1,19 @@
 """Command line pipeline driver.
 
-Each subcommand reads an optional JSON config, overlays explicit flags,
-runs one pipeline stage, and writes its artifacts plus a manifest.json
-with the fully resolved configuration into the output directory.  Exit
-codes: 0 success, 2 configuration error, 3 input error, 4 numerical
+Every subcommand runs through one runner: it reads the command's
+defaults and the optional JSON config over them (unknown keys are
+rejected), overlays the common flags the command reads, resolves the
+registration options, runs the command's body, and writes the files the
+body returns plus a manifest.json with the fully resolved configuration
+and exactly the files written.  A body validates and computes before
+anything is written, so a run that fails leaves no output directory.
+
+Every command takes --out and --verbose.  simulate and compare also
+take --config --seed --threads --grid; mean takes --config --seed
+--threads; register, pca and regress take --config; scores and
+export-path take no other common flag.
+
+Exit codes: 0 success, 2 configuration error, 3 input error, 4 numerical
 failure.
 """
 
@@ -15,8 +25,10 @@ import json
 import logging
 import re
 import sys
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +50,7 @@ from .fileio import (
     save_surface,
     write_matrix_csv,
 )
-from .grids import Surface, make_grid
+from .grids import make_grid
 from .regression import CovariateTable, run_model_suite
 from .registration import RegistrationOpts, register
 from .shape_stats import (
@@ -59,6 +71,8 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["main"]
 
+# A "registration" entry holds the command's default registration
+# options; a config's registration entries override them one by one.
 _SIM_DEFAULTS = {
     "n_subjects": 40,
     "displacement": 1.2,
@@ -67,9 +81,8 @@ _SIM_DEFAULTS = {
     "flow_degree": 3,
     "seed": 0,
     "grid": "32x32",
-    "registration": {},
+    "registration": {"max_iters": 50, "rounds": 2, "tol_rel": 1e-4},
 }
-_SIM_REG = {"max_iters": 50, "rounds": 2, "tol_rel": 1e-4}
 
 _CMP_DEFAULTS = {
     "n_per_class": 8,
@@ -79,9 +92,11 @@ _CMP_DEFAULTS = {
     "flow_degree": 3,
     "seed": 0,
     "grid": "32x32",
-    "registration": {},
+    "registration": {"max_iters": 40, "rounds": 2, "tol_rel": 1e-4},
 }
-_CMP_REG = {"max_iters": 40, "rounds": 2, "tol_rel": 1e-4}
+
+# Successive mean-shape seeds tried before a bump amplitude is rejected.
+_MEAN_SEED_ATTEMPTS = 8
 
 
 def _fmt(x) -> str:
@@ -186,12 +201,21 @@ def _shape_line_cohort(grid, seed: int, n: int, displacement: float,
     subject sits on the class boundary closer than the registration
     residual can resolve, and the bumpy mean pins the registration
     frame, which a rotationally symmetric template would leave free.
+    The mean takes the first of the successive SeedSequence([seed, 5])
+    states whose bumps keep the radius positive; after
+    _MEAN_SEED_ATTEMPTS states the last ConfigError is raised.
     """
-    mean_seed = int(np.random.SeedSequence([seed, 5]).generate_state(1)[0])
-    mean = gen_surface(
-        "bumpy-sphere", grid, amplitude=mean_amplitude, degree=degree,
-        seed=mean_seed,
-    )
+    for mean_seed in np.random.SeedSequence([seed, 5]).generate_state(_MEAN_SEED_ATTEMPTS):
+        try:
+            mean = gen_surface(
+                "bumpy-sphere", grid, amplitude=mean_amplitude, degree=degree,
+                seed=int(mean_seed),
+            )
+            break
+        except ConfigError as exc:
+            error = exc
+    else:
+        raise error
     direction = _radial_direction(grid, seed, degree)
     half = (n + 1) // 2
     rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
@@ -211,22 +235,34 @@ def _pairwise_field_dist(fields: list) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _diffeo_seeds(seed: int, salt: int, n: int) -> np.ndarray:
-    return np.random.SeedSequence([seed, salt]).generate_state(n)
-
-
-def _perturb(surfaces, grid, seeds, magnitude: float) -> list:
-    return [
+def _perturbed_cohort(cfg: dict, n: int, displacement: float, salt: int):
+    """The shape-line cohort of a simulate or compare config, and each of
+    its subjects reparameterized by a seeded random diffeomorphism."""
+    grid = make_grid(*_parse_grid(cfg["grid"]))
+    mean, cohort = _shape_line_cohort(
+        grid, cfg["seed"], n, displacement,
+        float(cfg["mean_amplitude"]), int(cfg["flow_degree"]),
+    )
+    seeds = np.random.SeedSequence([cfg["seed"], salt]).generate_state(n)
+    magnitude = float(cfg["perturb_magnitude"])
+    perturbed = [
         pullback(f, random_diffeo(grid, int(s), magnitude))
-        for f, s in zip(surfaces, seeds)
+        for f, s in zip(cohort.surfaces, seeds)
     ]
+    return mean, cohort, perturbed
 
 
-def _mds_coords(dist: np.ndarray) -> np.ndarray:
-    return classical_mds(dist, 2).coords
+def _table(matrix, header):
+    """Writer of a numeric matrix with a header row (see `_run`)."""
+    return partial(write_matrix_csv, matrix=matrix, header=header)
 
 
-def cmd_simulate(args) -> int:
+def _rows(header, rows):
+    """Writer of mixed-type rows with a header row (see `_run`)."""
+    return partial(_write_rows_csv, header=header, rows=rows)
+
+
+def cmd_simulate(args, cfg):
     """Cohort on one shape line: distances and cluster accuracy at three stages.
 
     Stage one scores the cohort as constructed (already in vertex
@@ -235,148 +271,97 @@ def cmd_simulate(args) -> int:
     mean.  Writes a distance matrix and MDS coordinates per stage plus
     the 1-NN accuracy summary.
     """
-    cfg = {**_SIM_DEFAULTS, **_load_config(args.config)}
-    _check_keys(cfg, _SIM_DEFAULTS, "simulate config")
-    seed = int(_pick(args.seed, cfg["seed"]))
-    n_u, n_v = _parse_grid(_pick(args.grid, cfg["grid"]))
-    grid = make_grid(n_u, n_v)
     n = int(cfg["n_subjects"])
     if n < 4:
         raise ConfigError("n_subjects must be at least 4")
-    reg_cfg = {**_SIM_REG, **cfg["registration"]}
-    opts = _reg_opts(reg_cfg)
-    out = _out_dir(args)
 
-    mean, cohort = _shape_line_cohort(
-        grid, seed, n, float(cfg["displacement"]),
-        float(cfg["mean_amplitude"]), int(cfg["flow_degree"]),
-    )
+    mean, cohort, perturbed = _perturbed_cohort(cfg, n, float(cfg["displacement"]), 1)
     ids = _ids(n)
     labels = cohort.labels
 
     stages = {}
     stages["registered"] = _pairwise_field_dist([srnf(f) for f in cohort.surfaces])
-
-    seeds = _diffeo_seeds(seed, 1, n)
-    perturbed = _perturb(cohort.surfaces, grid, seeds, float(cfg["perturb_magnitude"]))
     stages["perturbed"] = _pairwise_field_dist([srnf(f) for f in perturbed])
 
-    results = register_cohort(mean, perturbed, opts, threads=args.threads)
+    opts = RegistrationOpts(**cfg["registration"])
+    results = register_cohort(mean, perturbed, opts, threads=cfg["threads"])
     stages["reregistered"] = _pairwise_field_dist([srnf(r.aligned) for r in results])
 
-    outputs = []
+    artifacts = {}
     accuracy = {}
     for stage, dist in stages.items():
-        write_matrix_csv(out / f"dist_{stage}.csv", dist, ids)
-        _write_rows_csv(out / f"mds_{stage}.csv", ["x1", "x2"], _mds_coords(dist))
-        outputs += [f"dist_{stage}.csv", f"mds_{stage}.csv"]
+        artifacts[f"dist_{stage}.csv"] = _table(dist, ids)
+        artifacts[f"mds_{stage}.csv"] = _rows(["x1", "x2"], classical_mds(dist, 2).coords)
         accuracy[stage] = knn_accuracy(dist, labels)
-
-    _write_rows_csv(
-        out / "labels.csv",
-        ["id", "label", "coefficient"],
-        zip(ids, labels, cohort.coefficients),
+    artifacts["labels.csv"] = _rows(
+        ["id", "label", "coefficient"], zip(ids, labels, cohort.coefficients)
     )
-    _write_rows_csv(
-        out / "accuracy.csv", ["stage", "accuracy"], accuracy.items()
-    )
-    outputs += ["labels.csv", "accuracy.csv"]
-
-    resolved = {**cfg, "seed": seed, "grid": f"{n_u}x{n_v}",
-                "registration": asdict(opts), "threads": args.threads}
-    _write_manifest(out, "simulate", resolved, [], outputs)
-    for stage, acc in accuracy.items():
-        print(f"{stage} 1-NN accuracy: {acc:.3f}")
-    return 0
+    artifacts["accuracy.csv"] = _rows(["stage", "accuracy"], accuracy.items())
+    summary = [f"{stage} 1-NN accuracy: {acc:.3f}" for stage, acc in accuracy.items()]
+    return [], artifacts, summary
 
 
-def cmd_register(args) -> int:
+def cmd_register(args, cfg):
     """Align one surface to another; write the aligned surface, rotation,
     reparameterization Jacobian field, and objective trace."""
-    cfg = {"registration": {}, **_load_config(args.config)}
-    _check_keys(cfg, {"registration"}, "register config")
-    opts = _reg_opts(cfg["registration"])
     f1 = load_surface(args.fixed)
     f2 = load_surface(args.moving)
-    out = _out_dir(args)
 
-    res = register(f1, f2, opts)
-    save_surface(res.aligned, out / "aligned.surf")
-    write_matrix_csv(out / "rotation.csv", res.rotation, ["c1", "c2", "c3"])
-    jac = jacobian_det(res.reparam)
+    res = register(f1, f2, RegistrationOpts(**cfg["registration"]))
     u_names = [f"u{i}" for i in range(f1.grid.n_u)]
-    write_matrix_csv(out / "jacobian.csv", jac, u_names)
-    write_matrix_csv(
-        out / "trace.csv",
-        np.asarray(res.objective_trace)[:, None],
-        ["objective"],
-    )
-    outputs = ["aligned.surf", "rotation.csv", "jacobian.csv", "trace.csv"]
-    resolved = {"registration": asdict(opts)}
-    _write_manifest(out, "register", resolved, [args.fixed, args.moving], outputs)
-    print(f"distance: {res.distance:.8g}")
-    return 0
+    artifacts = {
+        "aligned.surf": partial(save_surface, res.aligned),
+        "rotation.csv": _table(res.rotation, ["c1", "c2", "c3"]),
+        "jacobian.csv": _table(jacobian_det(res.reparam), u_names),
+        "trace.csv": _table(np.asarray(res.objective_trace)[:, None], ["objective"]),
+    }
+    return [args.fixed, args.moving], artifacts, [f"distance: {res.distance:.8g}"]
 
 
-def cmd_mean(args) -> int:
+def cmd_mean(args, cfg):
     """Iterative mean shape of the input surfaces plus the registered set."""
-    cfg = {"init_index": 0, "registration": {}, **_load_config(args.config)}
-    _check_keys(cfg, {"init_index", "registration"}, "mean config")
-    opts = _reg_opts(cfg["registration"])
     surfaces = [load_surface(p) for p in args.surfaces]
     init_index = int(cfg["init_index"])
     if not 0 <= init_index < len(surfaces):
         raise ConfigError(
             f"init_index {init_index} out of range for {len(surfaces)} surfaces"
         )
-    out = _out_dir(args)
+    cfg["init_index"] = init_index
 
     result = karcher_mean(
-        surfaces, opts, init_index=init_index, seed=args.seed, threads=args.threads
+        surfaces, RegistrationOpts(**cfg["registration"]), init_index=init_index,
+        seed=cfg["seed"], threads=cfg["threads"],
     )
-    save_surface(result.mean, out / "mean.surf")
-    outputs = ["mean.surf", "variance.csv"]
+    artifacts = {"mean.surf": partial(save_surface, result.mean)}
     for i, f in enumerate(result.registered):
-        name = f"registered_{i:03d}.surf"
-        save_surface(f, out / name)
-        outputs.append(name)
-    write_matrix_csv(
-        out / "variance.csv",
-        np.asarray(result.variance_trace)[:, None],
-        ["variance"],
+        artifacts[f"registered_{i:03d}.surf"] = partial(save_surface, f)
+    artifacts["variance.csv"] = _table(
+        np.asarray(result.variance_trace)[:, None], ["variance"]
     )
-    resolved = {"init_index": init_index, "registration": asdict(opts),
-                "seed": args.seed, "threads": args.threads}
-    _write_manifest(out, "mean", resolved, args.surfaces, outputs)
-    print(f"final variance: {result.variance_trace[-1]:.8g}")
-    return 0
+    return args.surfaces, artifacts, [f"final variance: {result.variance_trace[-1]:.8g}"]
 
 
-def cmd_pca(args) -> int:
+def cmd_pca(args, cfg):
     """Principal component model of registered surfaces about a mean."""
-    cfg = {"use_squared": False, **_load_config(args.config)}
-    _check_keys(cfg, {"use_squared"}, "pca config")
     mean = load_surface(args.mean)
     surfaces = [load_surface(p) for p in args.surfaces]
-    out = _out_dir(args)
+    cfg.update(use_squared=bool(cfg["use_squared"]), mean=str(args.mean))
 
     model = shape_pca(surfaces, mean)
-    save_model(model, out / "model.eshm")
-    cv = cumulative_variance(model, use_squared=bool(cfg["use_squared"]))
+    cv = cumulative_variance(model, use_squared=cfg["use_squared"])
     table = np.column_stack([np.arange(1, len(cv) + 1), cv])
-    write_matrix_csv(out / "cumvar.csv", table, ["d", "fraction"])
-    resolved = {"use_squared": bool(cfg["use_squared"]), "mean": str(args.mean)}
-    _write_manifest(
-        out, "pca", resolved, [args.mean, *args.surfaces], ["model.eshm", "cumvar.csv"]
-    )
-    print(
+    artifacts = {
+        "model.eshm": partial(save_model, model),
+        "cumvar.csv": _table(table, ["d", "fraction"]),
+    }
+    summary = [
         f"directions: {model.n_directions}; "
         f"first cumulative fraction: {cv[0]:.4f}"
-    )
-    return 0
+    ]
+    return [args.mean, *args.surfaces], artifacts, summary
 
 
-def cmd_scores(args) -> int:
+def cmd_scores(args, cfg):
     """Principal scores of surfaces under a saved model, with the
     reconstruction error at the chosen depth."""
     model = load_model(args.model)
@@ -385,7 +370,7 @@ def cmd_scores(args) -> int:
         raise ConfigError(
             f"depth {depth} out of range 1..{model.n_directions}"
         )
-    out = _out_dir(args)
+    cfg.update(depth=depth, model=str(args.model))
 
     ids, score_rows, err_rows = [], [], []
     worst = 0.0
@@ -406,18 +391,15 @@ def cmd_scores(args) -> int:
         err_rows.append([name, rel])
 
     header = ["id"] + [f"z{k}" for k in range(1, depth + 1)]
-    _write_rows_csv(out / "scores.csv", header, score_rows)
-    _write_rows_csv(out / "recon_error.csv", ["id", "rel_error"], err_rows)
-    resolved = {"depth": depth, "model": str(args.model)}
-    _write_manifest(
-        out, "scores", resolved, [args.model, *args.surfaces],
-        ["scores.csv", "recon_error.csv"],
-    )
-    print(f"max reconstruction relative error at depth {depth}: {worst:.3e}")
-    return 0
+    artifacts = {
+        "scores.csv": _rows(header, score_rows),
+        "recon_error.csv": _rows(["id", "rel_error"], err_rows),
+    }
+    summary = [f"max reconstruction relative error at depth {depth}: {worst:.3e}"]
+    return [args.model, *args.surfaces], artifacts, summary
 
 
-def cmd_export_path(args) -> int:
+def cmd_export_path(args, cfg):
     """Mesh frames along one principal direction with per-node difference
     fields against the mean."""
     model = load_model(args.model)
@@ -432,22 +414,16 @@ def cmd_export_path(args) -> int:
         raise ConfigError("frames must be at least 2")
     if args.t_max <= 0:
         raise ConfigError("t-max must be positive")
-    out = _out_dir(args)
+    cfg.update(component=k, frames=args.frames, t_max=args.t_max, model=str(args.model))
 
     t_values = np.linspace(-args.t_max, args.t_max, args.frames)
     frames = pc_path(model, k - 1, t_values)
     u_names = [f"u{i}" for i in range(model.mean.grid.n_u)]
-    outputs = ["t_values.csv"]
+    artifacts = {"t_values.csv": _table(t_values[:, None], ["t"])}
     for j, fr in enumerate(frames):
-        export_obj(fr, out / f"frame_{j:03d}.obj")
-        write_matrix_csv(out / f"diff_{j:03d}.csv", diff_field(fr, model.mean), u_names)
-        outputs += [f"frame_{j:03d}.obj", f"diff_{j:03d}.csv"]
-    write_matrix_csv(out / "t_values.csv", t_values[:, None], ["t"])
-    resolved = {"component": k, "frames": args.frames, "t_max": args.t_max,
-                "model": str(args.model)}
-    _write_manifest(out, "export-path", resolved, [args.model], outputs)
-    print(f"wrote {args.frames} frames along component {k}")
-    return 0
+        artifacts[f"frame_{j:03d}.obj"] = partial(export_obj, fr)
+        artifacts[f"diff_{j:03d}.csv"] = _table(diff_field(fr, model.mean), u_names)
+    return [args.model], artifacts, [f"wrote {args.frames} frames along component {k}"]
 
 
 def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
@@ -484,20 +460,8 @@ def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
     return mat
 
 
-def cmd_regress(args) -> int:
+def cmd_regress(args, cfg):
     """Stepwise model suite over covariates and per-structure scores."""
-    cfg = {
-        "scores": {},
-        "criterion": "aic",
-        "n_ps": None,
-        "n_interact_ps": None,
-        "strict": True,
-        **_load_config(args.config),
-    }
-    _check_keys(
-        cfg, {"scores", "criterion", "n_ps", "n_interact_ps", "strict"},
-        "regress config",
-    )
     scores_map = dict(cfg["scores"])
     for entry in args.scores or []:
         if "=" not in entry:
@@ -520,7 +484,9 @@ def cmd_regress(args) -> int:
     n_interact = int(_pick(args.n_interact_ps, cfg["n_interact_ps"], min(5, n_ps)))
     if n_interact > n_ps:
         raise ConfigError("n_interact_ps cannot exceed n_ps")
-    out = _out_dir(args)
+    cfg.update(scores={s: str(p) for s, p in scores_map.items()}, criterion=criterion,
+               n_ps=n_ps, n_interact_ps=n_interact, strict=strict,
+               covariates=str(args.covariates))
 
     report = run_model_suite(
         cov, scores, n_ps=n_ps, n_interact_ps=n_interact, criterion=criterion
@@ -535,68 +501,44 @@ def cmd_regress(args) -> int:
                 [row["model_id"], sel["term"], sel["coefficient"], sel["sign"],
                  sel["p_value"]]
             )
-    _write_rows_csv(
-        out / "models.csv",
-        ["model_id", "response", "adj_r_squared", "n_terms"],
-        model_rows,
-    )
-    _write_rows_csv(
-        out / "selected_terms.csv",
-        ["model_id", "term", "coefficient", "sign", "p_value"],
-        term_rows,
-    )
-    resolved = {"scores": {s: str(p) for s, p in scores_map.items()},
-                "criterion": criterion, "n_ps": n_ps, "n_interact_ps": n_interact,
-                "strict": strict, "covariates": str(args.covariates)}
-    _write_manifest(
-        out, "regress", resolved,
-        [args.covariates, *scores_map.values()],
-        ["models.csv", "selected_terms.csv"],
-    )
-    for row in report:
-        print(
-            f"model {row['model_id']} ({row['response']}): "
-            f"adj R2 {row['adj_r_squared']:.4f}, {row['n_terms']} terms"
-        )
-    return 0
+    artifacts = {
+        "models.csv": _rows(
+            ["model_id", "response", "adj_r_squared", "n_terms"], model_rows
+        ),
+        "selected_terms.csv": _rows(
+            ["model_id", "term", "coefficient", "sign", "p_value"], term_rows
+        ),
+    }
+    summary = [
+        f"model {row['model_id']} ({row['response']}): "
+        f"adj R2 {row['adj_r_squared']:.4f}, {row['n_terms']} terms"
+        for row in report
+    ]
+    return [args.covariates, *scores_map.values()], artifacts, summary
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, cfg):
     """Elastic vs vertex-wise pipeline on a mis-parameterized two-class cohort.
 
     Builds two shape classes on one direction, perturbs every surface by
     a seeded random reparameterization, then scores both pipelines with
     the inter/intra class distances and cumulative variance curves.
     """
-    cfg = {**_CMP_DEFAULTS, **_load_config(args.config)}
-    _check_keys(cfg, _CMP_DEFAULTS, "compare config")
-    seed = int(_pick(args.seed, cfg["seed"]))
-    n_u, n_v = _parse_grid(_pick(args.grid, cfg["grid"]))
-    grid = make_grid(n_u, n_v)
     m = int(cfg["n_per_class"])
     if m < 2:
         raise ConfigError("n_per_class must be at least 2")
     n = 2 * m
-    opts = _reg_opts({**_CMP_REG, **cfg["registration"]})
-    out = _out_dir(args)
 
-    mean, cohort = _shape_line_cohort(
-        grid, seed, n, float(cfg["amplitude"]),
-        float(cfg["mean_amplitude"]), int(cfg["flow_degree"]),
-    )
+    mean, cohort, perturbed = _perturbed_cohort(cfg, n, float(cfg["amplitude"]), 2)
     labels = cohort.labels
-    seeds = _diffeo_seeds(seed, 2, n)
-    perturbed = _perturb(
-        cohort.surfaces, grid, seeds, float(cfg["perturb_magnitude"])
-    )
 
-    results = register_cohort(mean, perturbed, opts, threads=args.threads)
+    opts = RegistrationOpts(**cfg["registration"])
+    results = register_cohort(mean, perturbed, opts, threads=cfg["threads"])
     aligned = [r.aligned for r in results]
     clouds_elastic = [f.points.reshape(-1, 3) for f in aligned]
     e_inter, e_intra = class_distances(clouds_elastic, labels)
     stacked = np.stack([f.points for f in aligned])
-    model_elastic = shape_pca(aligned, Surface(grid=grid, points=stacked.mean(axis=0)))
-    cv_elastic = cumulative_variance(model_elastic)
+    model_elastic = shape_pca(aligned, mean.with_points(stacked.mean(axis=0)))
 
     reference = perturbed[0].points.reshape(-1, 3)
     clouds_vertex = [
@@ -604,49 +546,152 @@ def cmd_compare(args) -> int:
     ]
     v_inter, v_intra = class_distances(clouds_vertex, labels)
     model_vertex = vertex_pca(clouds_vertex)
-    total = float(model_vertex.singulars.sum())
-    if total > 0:
-        cv_vertex = np.cumsum(model_vertex.singulars) / total
-    else:
-        cv_vertex = np.ones(len(model_vertex.singulars))
 
-    _write_rows_csv(
-        out / "class_distances.csv",
-        ["pipeline", "d_inter", "d_intra", "margin"],
-        [
-            ["elastic", e_inter, e_intra, e_inter - e_intra],
-            ["vertex", v_inter, v_intra, v_inter - v_intra],
-        ],
-    )
-    for name, cv in (("elastic", cv_elastic), ("vertex", cv_vertex)):
+    artifacts = {
+        "class_distances.csv": _rows(
+            ["pipeline", "d_inter", "d_intra", "margin"],
+            [
+                ["elastic", e_inter, e_intra, e_inter - e_intra],
+                ["vertex", v_inter, v_intra, v_inter - v_intra],
+            ],
+        ),
+    }
+    for name, model in (("elastic", model_elastic), ("vertex", model_vertex)):
+        cv = cumulative_variance(model)
         table = np.column_stack([np.arange(1, len(cv) + 1), cv])
-        write_matrix_csv(out / f"cumvar_{name}.csv", table, ["d", "fraction"])
-    _write_rows_csv(
-        out / "labels.csv",
-        ["id", "label", "coefficient"],
-        zip(_ids(n), labels, cohort.coefficients),
+        artifacts[f"cumvar_{name}.csv"] = _table(table, ["d", "fraction"])
+    artifacts["labels.csv"] = _rows(
+        ["id", "label", "coefficient"], zip(_ids(n), labels, cohort.coefficients)
     )
-    outputs = ["class_distances.csv", "cumvar_elastic.csv", "cumvar_vertex.csv",
-               "labels.csv"]
-    resolved = {**cfg, "seed": seed, "grid": f"{n_u}x{n_v}",
-                "registration": asdict(opts), "threads": args.threads}
-    _write_manifest(out, "compare", resolved, [], outputs)
-    print(f"elastic: d_inter {e_inter:.6g}, d_intra {e_intra:.6g}")
-    print(f"vertex:  d_inter {v_inter:.6g}, d_intra {v_intra:.6g}")
+    summary = [
+        f"elastic: d_inter {e_inter:.6g}, d_intra {e_intra:.6g}",
+        f"vertex:  d_inter {v_inter:.6g}, d_intra {v_intra:.6g}",
+    ]
+    return [], artifacts, summary
+
+
+def _arg(*names, **kwargs):
+    """One argparse argument, as add_argument takes it."""
+    return names, kwargs
+
+
+# Common flags, in help order.  Every command takes --out and --verbose.
+_COMMON = {
+    "config": _arg("--config", default=None, help="JSON config file"),
+    "seed": _arg("--seed", type=int, default=None, help="master seed"),
+    "out": _arg("--out", default=None, help="output directory (default <command>-out)"),
+    "threads": _arg("--threads", type=int, default=1, help="worker cap"),
+    "grid": _arg("--grid", default=None, help="grid dims as N_UxN_V"),
+    "verbose": _arg("--verbose", action="store_true", help="info logging"),
+}
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its body (see `_run`), help text, the common flags
+    it reads besides --out and --verbose, its config keys with their
+    defaults, and its own arguments."""
+
+    body: Callable
+    help: str
+    flags: tuple = ()
+    defaults: dict = field(default_factory=dict)
+    arguments: tuple = ()
+
+
+_MODEL = _arg("--model", required=True, help="model file")
+_COMMANDS = {
+    "simulate": _Command(
+        cmd_simulate, "distance/accuracy study across reparameterization stages",
+        ("config", "seed", "threads", "grid"), _SIM_DEFAULTS),
+    "register": _Command(
+        cmd_register, "align one surface to another", ("config",), {"registration": {}},
+        (_arg("fixed", help="target surface file"),
+         _arg("moving", help="surface to align"))),
+    "mean": _Command(
+        cmd_mean, "iterative mean shape of a cohort", ("config", "seed", "threads"),
+        {"init_index": 0, "registration": {}},
+        (_arg("surfaces", nargs="+", help="surface files"),)),
+    "pca": _Command(
+        cmd_pca, "principal components of registered surfaces", ("config",),
+        {"use_squared": False},
+        (_arg("--mean", required=True, help="mean surface file"),
+         _arg("surfaces", nargs="+", help="registered surface files"))),
+    "scores": _Command(
+        cmd_scores, "principal scores under a saved model",
+        arguments=(_MODEL,
+                   _arg("--depth", type=int, default=0, help="score count (0 = all)"),
+                   _arg("surfaces", nargs="+", help="surface files"))),
+    "export-path": _Command(
+        cmd_export_path, "mesh frames along a principal direction",
+        arguments=(_MODEL,
+                   _arg("--component", type=int, default=1, help="direction, 1-based"),
+                   _arg("--frames", type=int, default=7, help="frame count"),
+                   _arg("--t-max", type=float, default=2.0, dest="t_max",
+                        help="path endpoint in singular-value units"))),
+    "regress": _Command(
+        cmd_regress, "stepwise covariate/score model suite", ("config",),
+        {"scores": {}, "criterion": "aic", "n_ps": None, "n_interact_ps": None,
+         "strict": True},
+        (_arg("--covariates", required=True, help="covariate CSV"),
+         _arg("--scores", action="append", default=None, metavar="STRUCT=PATH",
+              help="score table for one structure"),
+         _arg("--criterion", choices=("aic", "bic"), default=None),
+         _arg("--n-ps", type=int, default=None, dest="n_ps"),
+         _arg("--n-interact-ps", type=int, default=None, dest="n_interact_ps"),
+         _arg("--lenient", action="store_true",
+              help="log range violations instead of failing"))),
+    "compare": _Command(
+        cmd_compare, "elastic vs vertex-wise pipeline comparison",
+        ("config", "seed", "threads", "grid"), _CMP_DEFAULTS),
+}
+
+
+def _resolve(cmd: _Command, args) -> dict:
+    """The command's config: defaults, the --config file, then the flags."""
+    if "threads" in cmd.flags and args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
+    if "seed" in cmd.flags and args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    if "config" not in cmd.flags:
+        return {}
+    cfg = {**cmd.defaults, **_load_config(args.config)}
+    _check_keys(cfg, cmd.defaults, f"{args.command} config")
+    if "seed" in cmd.flags:
+        seed = _pick(args.seed, cfg.get("seed"))
+        cfg["seed"] = None if seed is None else int(seed)
+    if "threads" in cmd.flags:
+        cfg["threads"] = args.threads
+    if "grid" in cmd.flags:
+        cfg["grid"] = "%dx%d" % _parse_grid(_pick(args.grid, cfg["grid"]))
+    if "registration" in cfg:
+        if not isinstance(cfg["registration"], dict):
+            raise ConfigError("registration options must be a JSON object")
+        reg = {**cmd.defaults["registration"], **cfg["registration"]}
+        cfg["registration"] = asdict(_reg_opts(reg))
+    return cfg
+
+
+def _run(cmd: _Command, args) -> int:
+    """Resolve the config, run the body, write its files and the manifest.
+
+    The body returns (inputs, artifacts, summary): the input paths, output
+    file name -> function writing that file to a path, and lines to print.
+    It adds the values it resolves itself to the config it is given, which
+    the manifest records.
+    """
+    cfg = _resolve(cmd, args)
+    inputs, artifacts, summary = cmd.body(args, cfg)
+    out = _out_dir(args)
+    for name, write in artifacts.items():
+        write(out / name)
+    _write_manifest(out, args.command, cfg, inputs, artifacts)
+    for line in summary:
+        print(line)
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument(
-        "--out", default=None, help="output directory (default <command>-out)"
-    )
-    common.add_argument("--threads", type=int, default=1, help="worker cap")
-    common.add_argument("--grid", default=None, help="grid dims as N_UxN_V")
-    common.add_argument("--verbose", action="store_true", help="info logging")
-
     parser = argparse.ArgumentParser(
         prog="elastishape",
         description="Elastic shape analysis pipeline for closed surfaces.",
@@ -655,70 +700,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "simulate", parents=[common],
-        help="distance/accuracy study across reparameterization stages",
-    )
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "register", parents=[common], help="align one surface to another"
-    )
-    p.add_argument("fixed", help="target surface file")
-    p.add_argument("moving", help="surface to align")
-    p.set_defaults(func=cmd_register)
-
-    p = sub.add_parser(
-        "mean", parents=[common], help="iterative mean shape of a cohort"
-    )
-    p.add_argument("surfaces", nargs="+", help="surface files")
-    p.set_defaults(func=cmd_mean)
-
-    p = sub.add_parser(
-        "pca", parents=[common], help="principal components of registered surfaces"
-    )
-    p.add_argument("--mean", required=True, help="mean surface file")
-    p.add_argument("surfaces", nargs="+", help="registered surface files")
-    p.set_defaults(func=cmd_pca)
-
-    p = sub.add_parser(
-        "scores", parents=[common], help="principal scores under a saved model"
-    )
-    p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--depth", type=int, default=0, help="score count (0 = all)")
-    p.add_argument("surfaces", nargs="+", help="surface files")
-    p.set_defaults(func=cmd_scores)
-
-    p = sub.add_parser(
-        "export-path", parents=[common],
-        help="mesh frames along a principal direction",
-    )
-    p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--component", type=int, default=1, help="direction, 1-based")
-    p.add_argument("--frames", type=int, default=7, help="frame count")
-    p.add_argument("--t-max", type=float, default=2.0, dest="t_max",
-                   help="path endpoint in singular-value units")
-    p.set_defaults(func=cmd_export_path)
-
-    p = sub.add_parser(
-        "regress", parents=[common], help="stepwise covariate/score model suite"
-    )
-    p.add_argument("--covariates", required=True, help="covariate CSV")
-    p.add_argument("--scores", action="append", default=None,
-                   metavar="STRUCT=PATH", help="score table for one structure")
-    p.add_argument("--criterion", choices=("aic", "bic"), default=None)
-    p.add_argument("--n-ps", type=int, default=None, dest="n_ps")
-    p.add_argument("--n-interact-ps", type=int, default=None, dest="n_interact_ps")
-    p.add_argument("--lenient", action="store_true",
-                   help="log range violations instead of failing")
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser(
-        "compare", parents=[common],
-        help="elastic vs vertex-wise pipeline comparison",
-    )
-    p.set_defaults(func=cmd_compare)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        wanted = {"out", "verbose", *cmd.flags}
+        common = [spec for flag, spec in _COMMON.items() if flag in wanted]
+        for names, kwargs in (*common, *cmd.arguments):
+            p.add_argument(*names, **kwargs)
     return parser
 
 
@@ -729,14 +716,8 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        return _run(_COMMANDS[args.command], args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
 """Discrete orientation-preserving diffeomorphisms of the sphere.
 
 A diffeomorphism is stored as its image: one unit vector per grid node.
-The Jacobian determinant uses the area-ratio convention (identity map has
-determinant one everywhere) and is computed by finite differences of the
-pulled-back spherical coordinates of the image.
+Its Jacobian determinant is computed by finite differences of the
+spherical coordinates of the image, with the grid's own stencils.  One
+pass of those derivatives gives both determinants the package uses: the
+area-ratio one (identity map has determinant one everywhere), which the
+orientation checks read, and the coordinate one, which the SRNF action
+needs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from .errors import OrientationError
 from .grids import (
     SphericalGrid,
     Surface,
+    _d_du,
+    _d_dv,
     bilinear_sample,
     sphere_to_angles,
 )
@@ -80,15 +85,6 @@ def _azimuth_derivs(theta: np.ndarray, d_theta: float, d_phi: float):
     return du, dv
 
 
-def _polar_derivs(phi: np.ndarray, d_theta: float, d_phi: float):
-    du = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2.0 * d_theta)
-    dv = np.empty_like(phi)
-    dv[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * d_phi)
-    dv[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * d_phi)
-    dv[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * d_phi)
-    return du, dv
-
-
 def _extrapolate_pole_rows(jac: np.ndarray) -> np.ndarray:
     """Replace the two rows nearest each pole by quadratic extrapolation.
 
@@ -109,33 +105,27 @@ def _extrapolate_pole_rows(jac: np.ndarray) -> np.ndarray:
 
 def jacobian_from_angles(
     grid: SphericalGrid, theta: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """Jacobian determinant from precomputed image angles (area-ratio form)."""
-    t_u, t_v = _azimuth_derivs(theta, grid.d_theta, grid.d_phi)
-    p_u, p_v = _polar_derivs(phi, grid.d_theta, grid.d_phi)
-    raw = (np.sin(phi) / np.sin(grid.phi)[:, None]) * (t_u * p_v - t_v * p_u)
-    return _extrapolate_pole_rows(raw)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both Jacobian determinants from precomputed image angles.
 
-
-def coord_jacobian_from_angles(
-    grid: SphericalGrid, theta: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """Determinant of the image angles with respect to the grid angles.
-
-    This is the change-of-variables factor for the flat dtheta dphi
-    measure that the SRNF inner product uses, so it is the factor that
-    makes the reparameterization action an isometry. It differs from
-    the area-ratio convention by sin(image polar) / sin(grid polar).
+    Returns (area, coord).  coord is the determinant of the image angles
+    with respect to the grid angles: the change-of-variables factor for
+    the flat dtheta dphi measure that the SRNF inner product uses, so it
+    is the factor that makes the reparameterization action an isometry.
+    area is the area-ratio convention, coord times sin(image polar) /
+    sin(grid polar).
     """
     t_u, t_v = _azimuth_derivs(theta, grid.d_theta, grid.d_phi)
-    p_u, p_v = _polar_derivs(phi, grid.d_theta, grid.d_phi)
-    return _extrapolate_pole_rows(t_u * p_v - t_v * p_u)
+    p_u, p_v = _d_du(phi, grid.d_theta), _d_dv(phi, grid.d_phi)
+    det = t_u * p_v - t_v * p_u
+    area = (np.sin(phi) / np.sin(grid.phi)[:, None]) * det
+    return _extrapolate_pole_rows(area), _extrapolate_pole_rows(det)
 
 
 def jacobian_det_of_image(grid: SphericalGrid, image: np.ndarray) -> np.ndarray:
     """Area-ratio Jacobian determinant field of a sphere map given its image."""
     theta, phi = sphere_to_angles(image)
-    return jacobian_from_angles(grid, theta, phi)
+    return jacobian_from_angles(grid, theta, phi)[0]
 
 
 def jacobian_det(g: Diffeo) -> np.ndarray:

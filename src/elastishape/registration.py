@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffeos import Diffeo, coord_jacobian_from_angles, flow_step, jacobian_from_angles
+from .diffeos import Diffeo, flow_step, jacobian_from_angles
 from .grids import SphericalGrid, Surface, bilinear_sample, sphere_to_angles
 from .sphharm import tangent_basis
-from .srnf import SrnfField, norm, srnf
+from .srnf import SrnfField, _action_values, _pole_smoothed, norm, srnf, srnf_action
 
 __all__ = [
     "RegistrationOpts",
@@ -58,23 +58,23 @@ def rotate_surface(f: Surface, rotation: np.ndarray) -> Surface:
     return Surface(grid=f.grid, points=f.points @ np.asarray(rotation).T)
 
 
-def optimal_rotation(q1: SrnfField, q2: SrnfField) -> np.ndarray:
-    """Best rotation O minimizing |q1 - O q2|, by the Procrustes method.
+def _proper_rotation(cross: np.ndarray) -> np.ndarray:
+    """Procrustes rotation for a 3x3 cross-covariance sum_k a_k b_k^T.
 
-    The sign-corrected SVD solution always returns a proper rotation
-    (determinant +1), even for degenerate cross-covariance.
+    Returns the R minimizing sum_k |a_k - R b_k|^2.  The sign-corrected
+    SVD solution is always a proper rotation (determinant +1), even for
+    degenerate cross-covariance.
     """
-    if not q1.grid.same_dims(q2.grid):
-        raise ValueError("fields must share grid dimensions")
-    a = np.einsum("vui,vuj->ij", q1.q, q2.q) * q1.grid.cell_measure
-    u, _, vt = np.linalg.svd(a)
+    u, _, vt = np.linalg.svd(cross)
     sign = np.sign(np.linalg.det(u @ vt))
     return u @ np.diag([1.0, 1.0, sign]) @ vt
 
 
-def _smooth_field(grid: SphericalGrid, q: np.ndarray) -> np.ndarray:
-    """q with its sqrt(sin phi) pole factor divided out (see srnf module)."""
-    return q / np.sqrt(np.sin(grid.phi))[:, None, None]
+def optimal_rotation(q1: SrnfField, q2: SrnfField) -> np.ndarray:
+    """Best rotation O minimizing |q1 - O q2|, by the Procrustes method."""
+    if not q1.grid.same_dims(q2.grid):
+        raise ValueError("fields must share grid dimensions")
+    return _proper_rotation(np.einsum("vui,vuj->ij", q1.q, q2.q) * q1.grid.cell_measure)
 
 
 def _action_objective(
@@ -86,18 +86,16 @@ def _action_objective(
     the caller treats as an inadmissible step.
     """
     theta, phi = sphere_to_angles(image)
-    if jacobian_from_angles(grid, theta, phi).min() <= 0.0:
+    area, coord = jacobian_from_angles(grid, theta, phi)
+    if area.min() <= 0.0:
         return None
-    jac = np.maximum(coord_jacobian_from_angles(grid, theta, phi), 0.0)
-    sampled = bilinear_sample(grid, smooth2, theta, phi)
-    vals = np.sqrt(jac)[..., None] * sampled * np.sqrt(np.sin(phi))[..., None]
-    diff = q1 - vals
+    diff = q1 - _action_values(grid, smooth2, theta, phi, coord)
     return float((diff * diff).sum() * grid.cell_measure)
 
 
 def reparam_objective(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> float:
     """Public evaluation of the reparameterization objective at an image."""
-    val = _action_objective(q1.grid, q1.q, _smooth_field(q2.grid, q2.q), image)
+    val = _action_objective(q1.grid, q1.q, _pole_smoothed(q2.grid, q2.q), image)
     if val is None:
         raise ValueError("image is not orientation preserving")
     return val
@@ -129,7 +127,7 @@ def reparam_gradient(
 ) -> np.ndarray:
     """The optimizer's gradient of E over basis coefficients at an image."""
     grid = q1.grid
-    smooth2 = _smooth_field(q2.grid, q2.q)
+    smooth2 = _pole_smoothed(q2.grid, q2.q)
     e0 = _action_objective(grid, q1.q, smooth2, image)
     if e0 is None:
         raise ValueError("image is not orientation preserving")
@@ -158,7 +156,7 @@ def optimize_reparam(
         raise ValueError("fields must share grid dimensions")
     opts = opts or RegistrationOpts()
     grid = q1.grid
-    smooth2 = _smooth_field(q2.grid, q2.q)
+    smooth2 = _pole_smoothed(q2.grid, q2.q)
     image = np.array(init.image if init is not None else grid.nodes())
 
     energy = _action_objective(grid, q1.q, smooth2, image)
@@ -240,11 +238,7 @@ def register(
     for _ in range(max(opts.rounds, 0)):
         q2_rot = SrnfField(grid=grid, q=q2.q @ rotation.T)
         cand_gamma, _ = optimize_reparam(q1, q2_rot, opts, init=gamma)
-        q2_warp = SrnfField(
-            grid=grid,
-            q=_action_on_image(grid, q2.q, cand_gamma.image),
-        )
-        cand_rot = optimal_rotation(q1, q2_warp)
+        cand_rot = optimal_rotation(q1, srnf_action(q2, cand_gamma))
         cand_aligned = _aligned_surface(f2, cand_gamma.image, cand_rot)
         cand_dist = norm(SrnfField(grid=grid, q=q1.q - srnf(cand_aligned).q))
         if cand_dist < distance:
@@ -265,11 +259,3 @@ def register(
         distance=distance,
         objective_trace=trace,
     )
-
-
-def _action_on_image(grid: SphericalGrid, q: np.ndarray, image: np.ndarray):
-    """Action values sqrt(J) q(gamma(s)) for a valid image (no checks)."""
-    theta, phi = sphere_to_angles(image)
-    jac = np.maximum(coord_jacobian_from_angles(grid, theta, phi), 0.0)
-    sampled = bilinear_sample(grid, _smooth_field(grid, q), theta, phi)
-    return np.sqrt(jac)[..., None] * sampled * np.sqrt(np.sin(phi))[..., None]

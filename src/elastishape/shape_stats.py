@@ -128,22 +128,28 @@ def karcher_mean(
     )
 
 
-def shape_pca(registered: list, mean: Surface) -> ShapeModel:
-    """PCA of flattened deviations from the mean.
+def _principal_axes(samples: list, mean: np.ndarray):
+    """Unit principal directions (rows) and singular values of samples about mean.
 
     The covariance is the plain sum of outer products of the deviation
     vectors; directions and singular values come from the economy SVD of
     the stacked data matrix, which is the numerically preferred route to
-    the same eigenvectors.
+    the same eigenvectors.  `baseline.vertex_pca` uses it too.
     """
+    data = np.stack([x - mean for x in samples], axis=1)
+    u, s, _ = np.linalg.svd(data, full_matrices=False)
+    return u.T.copy(), s
+
+
+def shape_pca(registered: list, mean: Surface) -> ShapeModel:
+    """PCA of flattened deviations from the mean (see `_principal_axes`)."""
     if len(registered) < 2:
         raise ValueError("need at least two surfaces for PCA")
     if not all(f.grid.same_dims(mean.grid) for f in registered):
         raise ValueError("all surfaces must share the mean's grid dimensions")
-    data = np.stack([f.flat() - mean.flat() for f in registered], axis=1)
-    u, s, _ = np.linalg.svd(data, full_matrices=False)
+    directions, singulars = _principal_axes([f.flat() for f in registered], mean.flat())
     return ShapeModel(
-        mean=mean, directions=u.T.copy(), singulars=s, n_train=len(registered)
+        mean=mean, directions=directions, singulars=singulars, n_train=len(registered)
     )
 
 
@@ -165,13 +171,14 @@ def reconstruct(z: np.ndarray, model: ShapeModel) -> Surface:
     return Surface(grid=grid, points=flat.reshape(grid.n_v, grid.n_u, 3))
 
 
-def cumulative_variance(model: ShapeModel, use_squared: bool = False) -> np.ndarray:
+def cumulative_variance(model, use_squared: bool = False) -> np.ndarray:
     """Running fraction of total singular value captured by the first d.
 
-    The default follows the singular-value proportion convention; set
+    model is a ShapeModel or a vertex-wise `baseline.PointModel`.  The
+    default follows the singular-value proportion convention; set
     use_squared for the eigenvalue (variance) convention.
     """
-    if model.n_directions == 0:
+    if len(model.singulars) == 0:
         raise ValueError("model has no singular values")
     vals = model.singulars**2 if use_squared else model.singulars
     total = float(vals.sum())

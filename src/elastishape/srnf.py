@@ -4,6 +4,9 @@ The transform divides each unnormalized surface normal by the square
 root of its length, which turns reparameterization into an L² isometry:
 composing with a sphere diffeomorphism and scaling by the square root of
 its Jacobian determinant leaves the norm unchanged in the continuum.
+
+This module holds the one implementation of that action and of its pole
+smoothing; the registration objective reuses both.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeos import Diffeo, coord_jacobian_from_angles, jacobian_from_angles
+from .diffeos import Diffeo, jacobian_from_angles
 from .errors import OrientationError
 from .grids import SphericalGrid, Surface, bilinear_sample, normal_field, sphere_to_angles
 
@@ -63,19 +66,24 @@ def norm(q: SrnfField) -> float:
     return float(np.sqrt(max(inner(q, q), 0.0)))
 
 
-def _action_on_values(
-    grid: SphericalGrid, q: np.ndarray, theta: np.ndarray, phi: np.ndarray,
-    jac: np.ndarray
-) -> np.ndarray:
-    """Raw action values sqrt(J(s)) * q(gamma(s)) for precomputed angles and J.
+def _pole_smoothed(grid: SphericalGrid, q: np.ndarray) -> np.ndarray:
+    """q / sqrt(sin phi): the field the action interpolates.
 
-    Interpolates q / sqrt(sin phi) rather than q itself: that factor
-    carries the square-root vanishing of q toward the poles, so the
-    remaining field is smooth and bilinear interpolation stays second
-    order up to the pole rows.
+    That factor carries the square-root vanishing of q toward the poles,
+    so the remaining field is smooth and bilinear interpolation stays
+    second order up to the pole rows.
     """
-    smooth = q / np.sqrt(np.sin(grid.phi))[:, None, None]
+    return q / np.sqrt(np.sin(grid.phi))[:, None, None]
+
+
+def _action_values(
+    grid: SphericalGrid, smooth: np.ndarray, theta: np.ndarray, phi: np.ndarray,
+    coord_jac: np.ndarray
+) -> np.ndarray:
+    """Raw action values sqrt(J(s)) * q(gamma(s)) from `_pole_smoothed` q,
+    the image angles of gamma and its coordinate Jacobian (no checks)."""
     sampled = bilinear_sample(grid, smooth, theta, phi)
+    jac = np.maximum(coord_jac, 0.0)
     return np.sqrt(jac)[..., None] * sampled * np.sqrt(np.sin(phi))[..., None]
 
 
@@ -91,7 +99,8 @@ def srnf_action(q: SrnfField, g: Diffeo) -> SrnfField:
     if not q.grid.same_dims(g.grid):
         raise ValueError("field and diffeo must share grid dimensions")
     theta, phi = sphere_to_angles(g.image)
-    if jacobian_from_angles(q.grid, theta, phi).min() <= 0.0:
+    area, coord = jacobian_from_angles(q.grid, theta, phi)
+    if area.min() <= 0.0:
         raise OrientationError("diffeo is not orientation preserving at some node")
-    jac = np.maximum(coord_jacobian_from_angles(q.grid, theta, phi), 0.0)
-    return SrnfField(grid=q.grid, q=_action_on_values(q.grid, q.q, theta, phi, jac))
+    smooth = _pole_smoothed(q.grid, q.q)
+    return SrnfField(grid=q.grid, q=_action_values(q.grid, smooth, theta, phi, coord))

@@ -12,6 +12,9 @@ from elastishape.baseline import (
     vertex_pca,
 )
 from elastishape.errors import InputError
+from elastishape.grids import make_grid
+from elastishape.shape_stats import cumulative_variance, shape_pca
+from elastishape.synthetic import gen_surface
 
 from conftest import rotation_matrix
 
@@ -95,6 +98,20 @@ def test_vertex_pca_scores_reconstruct():
     assert_allclose(flat.reshape(30, 3), clouds[0], atol=1e-10)
     with pytest.raises(ValueError, match="out of range"):
         point_pc_scores(clouds[0], model, 7)
+
+
+def test_vertex_pca_and_shape_pca_agree_on_one_cohort():
+    base = gen_surface("bumpy-sphere", make_grid(8, 8), amplitude=0.1, degree=2, seed=3)
+    rng = np.random.default_rng(5)
+    surfaces = [
+        base.with_points(base.points + 0.05 * rng.standard_normal(base.points.shape))
+        for _ in range(5)
+    ]
+    vertex = vertex_pca([f.points.reshape(-1, 3) for f in surfaces])
+    shape = shape_pca(surfaces, base.with_points(vertex.mean.reshape(base.points.shape)))
+    assert np.array_equal(vertex.singulars, shape.singulars)
+    assert np.array_equal(vertex.directions, shape.directions)
+    assert np.array_equal(cumulative_variance(vertex), cumulative_variance(shape))
 
 
 def test_mds_recovers_a_planar_rectangle():

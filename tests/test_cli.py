@@ -1,14 +1,16 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elastishape.cli import main
+from elastishape.cli import _shape_line_cohort, main
+from elastishape.errors import ConfigError
 from elastishape.fileio import load_model, load_surface, save_surface
 from elastishape.grids import make_grid
-from elastishape.registration import rotate_surface
+from elastishape.registration import RegistrationOpts, rotate_surface
 from elastishape.synthetic import CohortSpec, gen_regression_cohort, gen_surface
 
 from conftest import rotation_matrix
@@ -389,3 +391,114 @@ def test_compare_small_run(tmp_path, capsys):
     assert [r[0] for r in rows] == ["elastic", "vertex"]
     assert (out / "cumvar_elastic.csv").exists()
     assert (out / "cumvar_vertex.csv").exists()
+
+
+def test_commands_reject_common_flags_they_do_not_read(workspace, tmp_path, capsys):
+    model = str(workspace / "pca-out" / "model.eshm")
+    for argv in (
+        ["scores", "--model", model, "--config", "x.json",
+         str(workspace / "member_0.surf"), "--out", str(tmp_path / "a")],
+        ["regress", "--covariates", "cov.csv", "--scores", "shape=s.csv",
+         "--grid", "16x16", "--out", str(tmp_path / "b")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_shape_line_cohort_skips_mean_seeds_that_make_the_radius_nonpositive():
+    grid = make_grid(32, 32)
+    for seed in (6, 205):
+        first = int(np.random.SeedSequence([seed, 5]).generate_state(1)[0])
+        with pytest.raises(ConfigError, match="nonpositive"):
+            gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
+        mean, cohort = _shape_line_cohort(grid, seed, 4, 1.2, 0.3, 3)
+        assert len(cohort.surfaces) == 4
+    # A seed whose first state works keeps that mean.
+    mean, _ = _shape_line_cohort(grid, 0, 4, 1.2, 0.3, 3)
+    first = int(np.random.SeedSequence([0, 5]).generate_state(1)[0])
+    expected = gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
+    assert np.array_equal(mean.points, expected.points)
+    with pytest.raises(ConfigError, match="nonpositive"):
+        _shape_line_cohort(grid, 0, 4, 1.2, 50.0, 3)
+
+
+def _reg(**kwargs):
+    return asdict(RegistrationOpts(**kwargs))
+
+
+@pytest.fixture(scope="module")
+def runs(workspace, regress_inputs, tmp_path_factory):
+    """Every command once on tiny inputs (simulate twice), with the
+    manifest config each should record."""
+    root = tmp_path_factory.mktemp("runs")
+    ws, model = str(workspace), str(workspace / "pca-out" / "model.eshm")
+    members = [f"{ws}/member_{i}.surf" for i in range(2)]
+    cov, scores = str(regress_inputs / "cov.csv"), str(regress_inputs / "scores.csv")
+    fast = {"max_iters": 1, "rounds": 1}
+    sim_cfg = _write_config(root, {"n_subjects": 4, "grid": "32x32", "perturb_magnitude": 0.3,
+                                   "registration": {"max_iters": 2}}, "sim.json")
+    cmp_cfg = _write_config(root, {"n_per_class": 2, "grid": "16x16",
+                                   "registration": fast}, "cmp.json")
+    reg_cfg = _write_config(root, {"registration": fast}, "reg.json")
+    sim_expected = {
+        "n_subjects": 4, "displacement": 1.2, "mean_amplitude": 0.3,
+        "perturb_magnitude": 0.3, "flow_degree": 3, "seed": 3, "grid": "16x16",
+        "threads": 1, "registration": _reg(max_iters=2, rounds=2, tol_rel=1e-4),
+    }
+    table = {
+        "simulate": (["--config", sim_cfg, "--grid", "16x16", "--seed", "3"],
+                     sim_expected, []),
+        "simulate-again": (["--config", sim_cfg, "--grid", "16x16", "--seed", "3"],
+                           sim_expected, []),
+        "compare": (["--config", cmp_cfg, "--threads", "2"], {
+            "n_per_class": 2, "amplitude": 0.5, "mean_amplitude": 0.3,
+            "perturb_magnitude": 0.5, "flow_degree": 3, "seed": 0, "grid": "16x16",
+            "threads": 2, "registration": _reg(**fast, tol_rel=1e-4)}, []),
+        "register": ([f"{ws}/base.surf", f"{ws}/rotated.surf", "--config", reg_cfg],
+                     {"registration": _reg(**fast)},
+                     [f"{ws}/base.surf", f"{ws}/rotated.surf"]),
+        "mean": ([*members, "--config", reg_cfg, "--seed", "1"],
+                 {"init_index": 0, "registration": _reg(**fast), "seed": 1,
+                  "threads": 1}, members),
+        "scores": (["--model", model, "--depth", "2", *members],
+                   {"depth": 2, "model": model}, [model, *members]),
+        "export-path": (["--model", model, "--frames", "3"],
+                        {"component": 1, "frames": 3, "t_max": 2.0, "model": model},
+                        [model]),
+        "regress": (["--covariates", cov, "--scores", f"shape={scores}",
+                     "--criterion", "bic"],
+                    {"scores": {"shape": scores}, "criterion": "bic", "n_ps": 3,
+                     "n_interact_ps": 3, "strict": True, "covariates": cov},
+                    [cov, scores]),
+    }
+    out = {}
+    for name, (argv, config, inputs) in table.items():
+        out[name] = (root / name, config, inputs)
+        assert main([name.removesuffix("-again"), *argv, "--out", str(root / name)]) == 0
+    # pca ran with its defaults when the workspace was built.
+    out["pca"] = (workspace / "pca-out",
+                  {"use_squared": False, "mean": f"{ws}/base.surf"},
+                  [f"{ws}/base.surf", *(f"{ws}/member_{i}.surf" for i in range(4))])
+    return out
+
+
+def test_manifest_records_the_command_config_and_exactly_the_files_written(runs):
+    assert len({name.removesuffix("-again") for name in runs}) == 8
+    for name, (out, config, inputs) in runs.items():
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == written, name
+        assert manifest["command"] == name.removesuffix("-again")
+        assert manifest["config"] == config, name
+        assert manifest["inputs"] == inputs, name
+
+
+def test_seeded_simulate_runs_are_byte_identical(runs):
+    first, second = runs["simulate"][0], runs["simulate-again"][0]
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -13,7 +13,7 @@ from elastishape.registration import (
     rotate_surface,
 )
 from elastishape.sphharm import n_tangent_fields, tangent_basis
-from elastishape.srnf import SrnfField, norm, srnf
+from elastishape.srnf import SrnfField, inner, norm, srnf, srnf_action
 from elastishape.synthetic import gen_surface
 
 from conftest import rotation_matrix
@@ -45,6 +45,10 @@ def test_identity_objective_matches_field_distance(bumpy32):
     e = reparam_objective(q1, q2, bumpy32.grid.nodes())
     direct = norm(SrnfField(grid=q1.grid, q=q1.q - q2.q)) ** 2
     assert_allclose(e, direct, rtol=5e-3)
+    # The objective is the distance to the SRNF action, bit for bit.
+    for g in (identity_diffeo(bumpy32.grid), random_diffeo(bumpy32.grid, 12, 0.3)):
+        diff = SrnfField(grid=q1.grid, q=q1.q - srnf_action(q2, g).q)
+        assert reparam_objective(q1, q2, g.image) == inner(diff, diff)
 
 
 def test_gradient_matches_objective_differences(bumpy32):
