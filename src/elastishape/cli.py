@@ -326,12 +326,12 @@ def cmd_mean(args, cfg):
         raise ConfigError(
             f"init_index {init_index} out of range for {len(surfaces)} surfaces"
         )
-    cfg["init_index"] = init_index
 
     result = karcher_mean(
         surfaces, RegistrationOpts(**cfg["registration"]), init_index=init_index,
         seed=cfg["seed"], threads=cfg["threads"],
     )
+    cfg["init_index"] = result.init_index
     artifacts = {"mean.surf": partial(save_surface, result.mean)}
     for i, f in enumerate(result.registered):
         artifacts[f"registered_{i:03d}.surf"] = partial(save_surface, f)
@@ -477,13 +477,15 @@ def cmd_regress(args, cfg):
     scores = {s: _read_scores_csv(p, cov) for s, p in sorted(scores_map.items())}
     available = min(m.shape[1] for m in scores.values())
     n_ps = int(_pick(args.n_ps, cfg["n_ps"], min(15, available)))
+    if n_ps < 1:
+        raise ConfigError(f"n_ps must be at least 1, got {n_ps}")
     if n_ps > available:
         raise InputError(
             f"n_ps {n_ps} exceeds available score columns ({available})"
         )
     n_interact = int(_pick(args.n_interact_ps, cfg["n_interact_ps"], min(5, n_ps)))
-    if n_interact > n_ps:
-        raise ConfigError("n_interact_ps cannot exceed n_ps")
+    if not 0 <= n_interact <= n_ps:
+        raise ConfigError(f"n_interact_ps must lie in 0..n_ps, got {n_interact}")
     cfg.update(scores={s: str(p) for s, p in scores_map.items()}, criterion=criterion,
                n_ps=n_ps, n_interact_ps=n_interact, strict=strict,
                covariates=str(args.covariates))

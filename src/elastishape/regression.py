@@ -4,6 +4,9 @@ Implements the ten-model comparison suite relating symptom scores to
 age, depression score, intracranial volume, per-structure principal
 scores, and covariate-by-score interactions.  Selection is bidirectional
 stepwise search from a forced baseline, scored by information criterion.
+Each stepwise call builds its full design once; every candidate model is
+a column slice of it, and each fit takes its rank, coefficients and
+standard errors from one pivoted QR factorization.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import qr, solve_triangular
 from scipy.special import betainc
 
 from .errors import InputError, ParseError, RankDeficiencyError
@@ -197,14 +200,13 @@ class ModelSpec:
 
 
 def design_matrix(
-    spec: ModelSpec, cov: CovariateTable, scores: dict, standardize: bool = False
+    spec: ModelSpec, cov: CovariateTable, scores: dict
 ) -> tuple[np.ndarray, list]:
     """Design matrix with columns ordered per the spec's term list.
 
     scores maps structure name to an (n_subjects, >= n_ps) score array.
     Interaction columns are elementwise products of the raw covariate and
-    raw score columns; the optional standardization (off by default)
-    z-scores every non-intercept column afterwards.
+    raw score columns.
     """
     n = cov.n_subjects
     plain = {
@@ -235,22 +237,14 @@ def design_matrix(
         if inter is not None:
             col = plain[inter] * col
         columns.append(col)
-    x = np.column_stack(columns)
-    if standardize:
-        for j, term in enumerate(spec.terms):
-            if term == "intercept":
-                continue
-            sd = x[:, j].std()
-            if sd > 0:
-                x[:, j] = (x[:, j] - x[:, j].mean()) / sd
-    return x, list(spec.terms)
+    return np.column_stack(columns), list(spec.terms)
 
 
 def t_tail_p(t: np.ndarray, df: int) -> np.ndarray:
     """Two-sided tail probability of Student's t via the incomplete beta.
 
-    The regularized incomplete beta function is evaluated by its
-    continued-fraction expansion, accurate to machine precision, giving
+    The regularized incomplete beta function comes from
+    `scipy.special.betainc`, giving
     P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2).
     """
     t = np.asarray(t, dtype=float)
@@ -278,8 +272,11 @@ class RegressionFit:
 def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> RegressionFit:
     """Ordinary least squares with t-based inference.
 
-    Rank is established by a pivoted QR factorization; a deficient design
-    raises RankDeficiencyError naming the collinear columns.
+    One pivoted QR factorization X P = Q R gives everything: the rank
+    (a deficient design raises RankDeficiencyError naming the collinear
+    columns), the coefficients from R b = Q^T y, and the standard errors
+    from the row norms of R^-1, since (X^T X)^-1 = P R^-1 R^-T P^T.
+    X^T X is never formed, so its squared condition number never enters.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -291,22 +288,24 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
     if n < p + 1:
         raise ValueError(f"underdetermined system: {n} rows for {p} columns")
 
-    r_fac, pivot = qr(x, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r_fac[:p]))
+    q_fac, r_fac, pivot = qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r_fac))
     tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int((diag > tol).sum())
     if rank < p:
         raise RankDeficiencyError([terms[j] for j in sorted(pivot[rank:])])
 
-    coef, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
+    coef = np.empty(p)
+    coef[pivot] = solve_triangular(r_fac, q_fac.T @ y)
     resid = y - x @ coef
     ssr = float(resid @ resid)
     sst = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ssr / max(sst, 1e-300)
     df_resid = n - p
     sigma2 = ssr / df_resid
-    xtx_inv = np.linalg.inv(x.T @ x)
-    se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
+    r_inv = solve_triangular(r_fac, np.eye(p))
+    se = np.empty(p)
+    se[pivot] = np.sqrt(sigma2 * (r_inv**2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(se > 0, coef / se, np.inf * np.sign(coef))
     pvals = t_tail_p(np.where(np.isfinite(tstat), tstat, 1e300), df_resid)
@@ -348,17 +347,6 @@ class StepwiseResult:
     criterion: str = "aic"
 
 
-def _fit_terms(spec, cov, scores, terms, criterion):
-    sub = ModelSpec(
-        response=spec.response,
-        terms=terms,
-        n_ps=spec.n_ps,
-        n_interact_ps=spec.n_interact_ps,
-    )
-    x, names = design_matrix(sub, cov, scores)
-    return _criterion_value(criterion, x, cov.response(spec.response), names)
-
-
 def stepwise_bidirectional(
     spec_full: ModelSpec,
     cov: CovariateTable,
@@ -371,11 +359,21 @@ def stepwise_bidirectional(
     then repeatedly applies the single add-or-drop move that most
     improves the criterion, breaking ties toward the earlier candidate in
     term order, until no move improves.  Candidate moves that make the
-    design rank deficient are skipped.
+    design rank deficient or underdetermined are skipped.  The full
+    design is built once (a term whose score column is missing raises
+    ValueError) and each candidate is fitted on a slice of its columns.
     """
+    x_full, names = design_matrix(spec_full, cov, scores)
+    y = cov.response(spec_full.response)
+    column = {t: j for j, t in enumerate(names)}
+
+    def fit_terms(terms):
+        x = x_full[:, [column[t] for t in terms]]
+        return _criterion_value(criterion, x, y, terms)
+
     forced = spec_full.forced_terms()
     selected = list(forced)
-    value, fit = _fit_terms(spec_full, cov, scores, selected, criterion)
+    value, fit = fit_terms(selected)
     trace = [(None, None, value)]
 
     while True:
@@ -388,22 +386,14 @@ def stepwise_bidirectional(
             else:
                 terms = [t for t in selected if t != term]
             try:
-                cand_value, cand_fit = _fit_terms(
-                    spec_full, cov, scores, terms, criterion
-                )
+                cand_value, cand_fit = fit_terms(terms)
             except (RankDeficiencyError, ValueError):
                 continue
             if cand_value < value and (best is None or cand_value < best[0]):
                 best = (cand_value, action, term, terms, cand_fit)
         if best is None:
             break
-        value, action, term, selected, fit = (
-            best[0],
-            best[1],
-            best[2],
-            best[3],
-            best[4],
-        )
+        value, action, term, selected, fit = best
         trace.append((action, term, value))
 
     return StepwiseResult(fit=fit, trace=trace, criterion=criterion)

@@ -59,6 +59,7 @@ class ShapeModel:
 class KarcherResult:
     mean: Surface
     registered: list
+    init_index: int
     variance_trace: list = field(default_factory=list)
 
 
@@ -124,6 +125,7 @@ def karcher_mean(
     return KarcherResult(
         mean=mean,
         registered=[r.aligned for r in final],
+        init_index=init_index,
         variance_trace=variance_trace,
     )
 

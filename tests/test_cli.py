@@ -139,6 +139,17 @@ def test_mean_command(workspace, tmp_path, capsys):
     assert len(rows) == 6
 
 
+def test_seeded_mean_records_the_start_surface_it_used(workspace, tmp_path):
+    # with a seed the start is a seeded pick: default_rng(0).integers(3) == 2
+    cfg = _write_config(tmp_path, {"registration": {"max_iters": 1, "rounds": 1}})
+    out = tmp_path / "mean-out"
+    members = [str(workspace / f"member_{i}.surf") for i in range(3)]
+    assert main(["mean", *members, "--config", cfg, "--seed", "0",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["init_index"] == 2
+
+
 def test_mean_init_index_out_of_range(workspace, tmp_path, capsys):
     cfg = _write_config(tmp_path, {"init_index": 9})
     code = main(
@@ -310,6 +321,17 @@ def test_regress_score_argument_validation(regress_inputs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no score tables" in err
     assert "STRUCT=PATH" in err
+    scores = f"shape={regress_inputs / 'scores.csv'}"
+    for flags in (["--n-ps", "-2"], ["--n-ps", "0"], ["--n-interact-ps", "-1"]):
+        assert main(["regress", "--covariates", cov, "--scores", scores, *flags,
+                     "--out", str(tmp_path / "c")]) == 2, flags
+    cfg = _write_config(tmp_path, {"n_ps": 0})
+    assert main(["regress", "--covariates", cov, "--scores", scores,
+                 "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert "n_ps must be at least 1" in err
+    assert "n_interact_ps must lie in" in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_regress_rank_deficiency_exits_4(regress_inputs, tmp_path, capsys):

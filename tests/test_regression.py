@@ -103,10 +103,6 @@ def test_design_matrix_columns():
     assert_allclose(x[:, 1], table.age)
     assert_allclose(x[:, 2], scores["h"][:, 1])
     assert_allclose(x[:, 3], table.age * scores["h"][:, 0])
-    xs, _ = design_matrix(spec, table, scores, standardize=True)
-    assert_allclose(xs[:, 0], 1.0)
-    assert_allclose(xs[:, 1:].mean(axis=0), 0.0, atol=1e-12)
-    assert_allclose(xs[:, 1:].std(axis=0), 1.0, rtol=1e-12)
 
 
 def test_design_matrix_score_errors():
@@ -116,6 +112,10 @@ def test_design_matrix_score_errors():
         design_matrix(spec, table, {})
     with pytest.raises(ValueError, match="only"):
         design_matrix(spec, table, {"h": np.zeros((10, 2))})
+    # stepwise builds the full design up front, so a term it cannot
+    # build is an error, not a candidate quietly skipped
+    with pytest.raises(ValueError, match=r"ps\(h,3\)"):
+        stepwise_bidirectional(spec, table, {"h": np.zeros((10, 2))})
 
 
 def test_t_tail_p_matches_reference():
@@ -149,6 +149,33 @@ def test_ols_inference_against_reference():
     assert_allclose(fit.coefficients, coef, atol=1e-10)
     assert_allclose(fit.std_errors, se, rtol=1e-10)
     assert_allclose(fit.p_values, 2 * stats.t.sf(np.abs(coef / se), n - 3), rtol=1e-8)
+
+
+def test_ols_std_errors_on_a_near_collinear_design():
+    # x = [1, a, c] with c = a + 2^-20 w (cond about 4e6).  c - a is exact
+    # (Sterbenz), so x = z @ m exactly for the well-conditioned
+    # z = [1, a, (c - a) / 2^-20], and m's inverse is exact because the
+    # scale is a power of two: cov(x) = m^-1 cov(z) m^-T is the reference.
+    rng = np.random.default_rng(21)
+    n = 60
+    scale = 2.0**-20
+    a = 1.0 + rng.uniform(0.0, 1.0, n)
+    c = a + scale * rng.standard_normal(n)
+    x = np.column_stack([np.ones(n), a, c])
+    z = np.column_stack([np.ones(n), a, (c - a) / scale])
+    m_inv = np.array(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0 / scale], [0.0, 0.0, 1.0 / scale]]
+    )
+    y = z @ np.array([1.0, 2.0, -0.5]) + rng.standard_normal(n)
+    ztz_inv = np.linalg.inv(z.T @ z)
+    z_coef = ztz_inv @ z.T @ y
+    resid = y - z @ z_coef
+    sigma2 = resid @ resid / (n - 3)
+    se = np.sqrt(np.diag(sigma2 * m_inv @ ztz_inv @ m_inv.T))
+    fit = ols_fit(x, y)
+    assert np.linalg.cond(x) > 1e6
+    assert_allclose(fit.std_errors, se, rtol=1e-8)
+    assert_allclose(fit.coefficients, m_inv @ z_coef, rtol=1e-8)
 
 
 def test_rank_deficiency_names_columns():
@@ -187,6 +214,15 @@ def test_stepwise_recovers_a_planted_predictor():
     result = stepwise_bidirectional(spec, table, scores, criterion="bic")
     assert "ps(h,1)" in result.fit.terms
     assert "intercept" in result.fit.terms
+    # the fit on a slice of the full design matches a fresh design of the
+    # selected terms (a slice may round differently in the last bit)
+    chosen = ModelSpec(
+        response="pss", terms=result.fit.terms, n_ps=4, n_interact_ps=2
+    )
+    x, names = design_matrix(chosen, table, scores)
+    direct = ols_fit(x, table.pss, names)
+    for attr in ("coefficients", "std_errors", "p_values", "adj_r_squared"):
+        assert_allclose(getattr(result.fit, attr), getattr(direct, attr), rtol=1e-12)
     # criterion trace improves monotonically after the start
     values = [v for _, _, v in result.trace]
     assert all(a > b for a, b in zip(values, values[1:]))
