@@ -21,6 +21,7 @@ from .grids import (
     Surface,
     _d_du,
     _d_dv,
+    _periodic_diff,
     bilinear_sample,
     sphere_to_angles,
 )
@@ -71,9 +72,7 @@ def _wrap_angle(d: np.ndarray) -> np.ndarray:
 
 def _azimuth_derivs(theta: np.ndarray, d_theta: float, d_phi: float):
     """Wrapped finite differences of the azimuth map along both axes."""
-    du = _wrap_angle(np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)) / (
-        2.0 * d_theta
-    )
+    du = _wrap_angle(_periodic_diff(theta)) / (2.0 * d_theta)
     dv = np.empty_like(theta)
     dv[1:-1] = _wrap_angle(theta[2:] - theta[:-2]) / (2.0 * d_phi)
     dv[0] = (

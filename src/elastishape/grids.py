@@ -124,9 +124,20 @@ class Surface:
         return Surface(grid=self.grid, points=points)
 
 
+def _periodic_diff(values: np.ndarray) -> np.ndarray:
+    """values[:, i + 1] - values[:, i - 1] along the periodic axis 1."""
+    out = np.empty_like(values)
+    np.subtract(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
+    np.subtract(values[:, 1:2], values[:, -1:], out=out[:, :1])
+    np.subtract(values[:, :1], values[:, -2:-1], out=out[:, -1:])
+    return out
+
+
 def _d_du(values: np.ndarray, d_theta: float) -> np.ndarray:
     """Central difference along the periodic azimuth axis (axis 1)."""
-    return (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * d_theta)
+    out = _periodic_diff(values)
+    out /= 2.0 * d_theta
+    return out
 
 
 def _d_dv(values: np.ndarray, d_phi: float) -> np.ndarray:
@@ -221,15 +232,20 @@ def bilinear_sample(
     j0 = np.floor(tv).astype(int)
     j0 = np.minimum(j0, grid.n_v - 2)
     av = tv - j0
-    j1 = j0 + 1
 
+    # Gather rows of the flattened grid at j * n_u + i.
+    flat = values.reshape((grid.n_v * grid.n_u,) + values.shape[2:])
+    r0 = j0 * grid.n_u
+    r1 = r0 + grid.n_u
     extra = values.ndim - 2
     shp = au.shape + (1,) * extra
     au = au.reshape(shp)
     av = av.reshape(shp)
+    bu = 1.0 - au
+    bv = 1.0 - av
     return (
-        values[j0, i0] * (1.0 - au) * (1.0 - av)
-        + values[j0, i1] * au * (1.0 - av)
-        + values[j1, i0] * (1.0 - au) * av
-        + values[j1, i1] * au * av
+        np.take(flat, r0 + i0, axis=0) * bu * bv
+        + np.take(flat, r0 + i1, axis=0) * au * bv
+        + np.take(flat, r1 + i0, axis=0) * bu * av
+        + np.take(flat, r1 + i1, axis=0) * au * av
     )

@@ -5,6 +5,20 @@ their rotated counterparts (s x grad Y), giving a standard complete
 low-frequency family of smooth vector fields used both to generate random
 sphere diffeomorphisms and to parameterize reparameterization steps
 during registration.
+
+Derivatives come from the complex values alone, one value call of
+``sph_harm_y`` per Y_l^a with 0 <= a <= l, Y_l^{-a} = (-1)^a conj(Y_l^a)
+and the ladder identities (theta azimuth, phi polar):
+
+- dY_l^a/dtheta = i a Y_l^a;
+- dY_l^a/dphi = 1/2 [sqrt((l-a)(l+a+1)) e^{-i theta} Y_l^{a+1}
+  - sqrt((l+a)(l-a+1)) e^{i theta} Y_l^{a-1}];
+- a Y_l^a / sin(phi) = -1/2 sqrt((2l+1)/(2l-1))
+  [sqrt((l+a)(l+a-1)) e^{i theta} Y_{l-1}^{a-1}
+  + sqrt((l-a)(l-a-1)) e^{-i theta} Y_{l-1}^{a+1}].
+
+The last one gives the azimuthal component of a gradient without a
+division by sin(phi), so the fields stay exact at the poles.
 """
 
 from __future__ import annotations
@@ -30,14 +44,6 @@ def harmonic_orders(max_degree: int, min_degree: int = 1) -> list[tuple[int, int
     return [(l, m) for l in range(min_degree, max_degree + 1) for m in range(-l, l + 1)]
 
 
-def _complex_pair(l: int, m: int, phi: np.ndarray, theta: np.ndarray, diff: bool):
-    """Complex Y_l^|m| (and polar/azimuth derivatives) at polar phi, azimuth theta."""
-    if diff:
-        y, dy = sph_harm_y(l, abs(m), phi, theta, diff_n=1)
-        return y, dy[..., 0], dy[..., 1]
-    return sph_harm_y(l, abs(m), phi, theta), None, None
-
-
 def _realize(m: int, values: np.ndarray) -> np.ndarray:
     if m > 0:
         return _SQRT2 * (-1.0) ** m * values.real
@@ -46,20 +52,61 @@ def _realize(m: int, values: np.ndarray) -> np.ndarray:
     return values.real
 
 
+def _degree_row(l: int, theta: np.ndarray, phi: np.ndarray) -> list:
+    """Complex [Y_l^0, ..., Y_l^l] at azimuth theta, polar phi."""
+    return [sph_harm_y(l, a, phi, theta) for a in range(l + 1)]
+
+
+def _order(row: list, b: int):
+    """Y_l^b from a degree row: (-1)^b conj(Y_l^-b) for b < 0, zero for |b| > l."""
+    if abs(b) >= len(row):
+        return 0.0
+    if b < 0:
+        return (-1.0) ** b * np.conj(row[-b])
+    return row[b]
+
+
+def _d_polar(row: list, a: int, e_it: np.ndarray) -> np.ndarray:
+    """dY_l^a/dphi from the degree-l row by the polar ladder identity."""
+    l = len(row) - 1
+    up = np.sqrt((l - a) * (l + a + 1)) * np.conj(e_it) * _order(row, a + 1)
+    down = np.sqrt((l + a) * (l - a + 1)) * e_it * _order(row, a - 1)
+    return 0.5 * (up - down)
+
+
+def _over_sin(lower: list, a: int, e_it: np.ndarray) -> np.ndarray:
+    """a Y_l^a / sin(phi) from the degree-(l-1) row, with no division."""
+    l = len(lower)
+    left = np.sqrt((l + a) * (l + a - 1)) * e_it * _order(lower, a - 1)
+    right = np.sqrt((l - a) * (l - a - 1)) * np.conj(e_it) * _order(lower, a + 1)
+    return -0.5 * np.sqrt((2 * l + 1) / (2 * l - 1)) * (left + right)
+
+
 def real_harmonic(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Real orthonormal spherical harmonic at azimuth theta, polar angle phi."""
-    y, _, _ = _complex_pair(l, m, np.asarray(phi, dtype=float), np.asarray(theta, dtype=float), False)
-    return _realize(m, y)
+    return _realize(m, sph_harm_y(l, abs(m), np.asarray(phi, dtype=float),
+                                  np.asarray(theta, dtype=float)))
 
 
 def real_harmonic_grad(
     l: int, m: int, theta: np.ndarray, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value plus partial derivatives (d/dtheta, d/dphi) of the real harmonic."""
-    y, dpol, daz = _complex_pair(
-        l, m, np.asarray(phi, dtype=float), np.asarray(theta, dtype=float), True
-    )
-    return _realize(m, y), _realize(m, daz), _realize(m, dpol)
+    """Value plus partial derivatives (d/dtheta, d/dphi) of the real harmonic.
+
+    Both derivatives come from the complex values of degree l, a = |m|:
+    dY_l^a/dtheta = i a Y_l^a, and by the ladder identity
+    dY_l^a/dphi = 1/2 [sqrt((l-a)(l+a+1)) e^{-i theta} Y_l^{a+1}
+    - sqrt((l+a)(l-a+1)) e^{i theta} Y_l^{a-1}].  `tangent_basis` uses the
+    same ones plus a Y_l^a / sin(phi) = -1/2 sqrt((2l+1)/(2l-1))
+    [sqrt((l+a)(l+a-1)) e^{i theta} Y_{l-1}^{a-1}
+    + sqrt((l-a)(l-a-1)) e^{-i theta} Y_{l-1}^{a+1}].
+    """
+    theta = np.asarray(theta, dtype=float)
+    a = abs(m)
+    row = _degree_row(l, theta, np.asarray(phi, dtype=float))
+    y = row[a]
+    d_phi = _d_polar(row, a, np.exp(1j * theta))
+    return _realize(m, y), _realize(m, 1j * a * y), _realize(m, d_phi)
 
 
 def n_tangent_fields(max_degree: int) -> int:
@@ -84,7 +131,8 @@ def tangent_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     theta, phi = sphere_to_angles(pts)
-    sin_phi = np.maximum(np.sin(phi), 1e-15)
+    e_it = np.exp(1j * theta)
+    rows = [_degree_row(l, theta, phi) for l in range(max_degree + 1)]
 
     e_theta = np.stack([-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=-1)
     e_phi = np.stack(
@@ -92,11 +140,25 @@ def tangent_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
         axis=-1,
     )
 
-    grads = []
-    for l, m in harmonic_orders(max_degree):
-        _, d_theta, d_phi = real_harmonic_grad(l, m, theta, phi)
-        grads.append(
-            (d_theta / sin_phi)[..., None] * e_theta + d_phi[..., None] * e_phi
-        )
-    rots = [np.cross(pts, g) for g in grads]
-    return np.stack(grads + rots, axis=0)
+    n_grads = len(harmonic_orders(max_degree))
+    out = np.empty((2 * n_grads,) + pts.shape)
+    grads, rots = out[:n_grads], out[n_grads:]
+    k = 0
+    for l in range(1, max_degree + 1):
+        # dY_l^a/dphi, and dY_l^a/dtheta over sin(phi) (zero for a = 0)
+        parts = [
+            (_d_polar(rows[l], a, e_it), 1j * _over_sin(rows[l - 1], a, e_it) if a else None)
+            for a in range(l + 1)
+        ]
+        for m in range(-l, l + 1):
+            d_phi, az = parts[abs(m)]
+            c_phi = _realize(m, d_phi)[..., None]
+            # s x e_theta = -e_phi and s x e_phi = e_theta
+            grads[k] = c_phi * e_phi
+            rots[k] = c_phi * e_theta
+            if m:
+                c_theta = _realize(m, az)[..., None]
+                grads[k] += c_theta * e_theta
+                rots[k] -= c_theta * e_phi
+            k += 1
+    return out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import sph_harm_y
 
-from elastishape.grids import make_grid
+from elastishape import sphharm
+from elastishape.grids import make_grid, sphere_to_angles
 from elastishape.sphharm import (
     harmonic_orders,
     n_tangent_fields,
@@ -90,3 +92,83 @@ def test_rotated_fields_are_perpendicular_to_gradients():
     assert_allclose(
         np.linalg.norm(rots, axis=-1), np.linalg.norm(grads, axis=-1), atol=1e-12
     )
+
+
+def _unit_points(seed, n):
+    pts = np.random.default_rng(seed).standard_normal((n, 3))
+    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+
+
+def _division_basis(points, max_degree):
+    """The tangent basis by scipy's derivatives and d/dtheta / sin(phi)."""
+    pts = np.asarray(points, dtype=float)
+    theta, phi = sphere_to_angles(pts)
+    sin_phi = np.maximum(np.sin(phi), 1e-15)
+    e_theta = np.stack([-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=-1)
+    e_phi = np.stack(
+        [np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta), -np.sin(phi)],
+        axis=-1,
+    )
+    grads = []
+    for l, m in harmonic_orders(max_degree):
+        _, d_theta, d_phi = _scipy_real_grad(l, m, theta, phi)
+        grads.append((d_theta / sin_phi)[..., None] * e_theta + d_phi[..., None] * e_phi)
+    rots = [np.cross(pts, g) for g in grads]
+    return np.stack(grads + rots, axis=0)
+
+
+def _scipy_real_grad(l, m, theta, phi):
+    """Realized value, d/dtheta and d/dphi from sph_harm_y(diff_n=1)."""
+    y, dy = sph_harm_y(l, abs(m), phi, theta, diff_n=1)
+
+    def realize(v):
+        if m > 0:
+            return np.sqrt(2.0) * (-1.0) ** m * v.real
+        if m < 0:
+            return np.sqrt(2.0) * (-1.0) ** m * v.imag
+        return v.real
+
+    return realize(y), realize(dy[..., 1]), realize(dy[..., 0])
+
+
+def test_degree_one_gradients_at_random_points_and_poles():
+    pts = np.concatenate([_unit_points(3, 200), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    fields = tangent_basis(pts, 1)
+    proj = np.eye(3) - pts[:, :, None] * pts[:, None, :]
+    # real Y_1^-1, Y_1^0, Y_1^1 are sqrt(3 / 4 pi) times y, z, x
+    for k, axis in enumerate((1, 2, 0)):
+        expected = np.sqrt(3.0 / (4.0 * np.pi)) * proj[:, :, axis]
+        assert np.abs(fields[k] - expected).max() < 1e-13
+        assert np.abs(fields[3 + k] - np.cross(pts, expected)).max() < 1e-13
+
+
+def test_real_harmonic_grad_matches_scipy_derivatives():
+    rng = np.random.default_rng(21)
+    th = rng.uniform(0.0, 2.0 * np.pi, size=1002)
+    ph = np.concatenate([rng.uniform(0.0, np.pi, size=1000), [1e-9, np.pi - 1e-9]])
+    for l, m in harmonic_orders(4, min_degree=0):
+        got = real_harmonic_grad(l, m, th, ph)
+        for a, b in zip(got, _scipy_real_grad(l, m, th, ph)):
+            assert np.abs(a - b).max() < 1e-13, (l, m)
+
+
+def test_tangent_basis_matches_the_division_formula_off_the_poles():
+    pts = np.concatenate([_unit_points(5, 2000), make_grid(32, 32).nodes().reshape(-1, 3)])
+    _, phi = sphere_to_angles(pts)
+    off_pole = np.sin(phi) >= 1e-6
+    diff = tangent_basis(pts, 3) - _division_basis(pts, 3)
+    assert np.abs(diff[:, off_pole]).max() < 1e-13
+
+
+def test_tangent_basis_makes_one_value_call_per_complex_harmonic(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return sph_harm_y(*args, **kwargs)
+
+    monkeypatch.setattr(sphharm, "sph_harm_y", counting)
+    tangent_basis(_unit_points(6, 40), 3)
+    # Y_l^a for 0 <= a <= l <= 3, values only
+    assert len(calls) == 10
+    assert not any("diff_n" in kwargs for kwargs in calls)
