@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .registration import _proper_rotation
@@ -70,6 +69,8 @@ def icp_register(fixed, moving, max_iters: int = ICP_MAX_ITERS, tol: float = ICP
     solves the best rigid transform for those pairs, and applies it.
     Stops when the RMS change drops below tol or after max_iters.
     """
+    from scipy.spatial import cKDTree  # imported here: only ICP needs scipy
+
     fixed = _as_cloud(fixed)
     moving = _as_cloud(moving)
     mu_f = fixed.mean(axis=0)

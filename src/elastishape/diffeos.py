@@ -66,21 +66,30 @@ def identity_diffeo(grid: SphericalGrid) -> Diffeo:
 
 
 def _wrap_angle(d: np.ndarray) -> np.ndarray:
-    """Map angle differences to (-pi, pi]."""
-    return d - 2.0 * np.pi * np.round(d / (2.0 * np.pi))
+    """Map angle differences to (-pi, pi], in place; returns d."""
+    turns = d / (2.0 * np.pi)
+    np.rint(turns, out=turns)
+    turns *= 2.0 * np.pi
+    d -= turns
+    return d
 
 
 def _azimuth_derivs(theta: np.ndarray, d_theta: float, d_phi: float):
     """Wrapped finite differences of the azimuth map along both axes."""
-    du = _wrap_angle(_periodic_diff(theta)) / (2.0 * d_theta)
+    du = _wrap_angle(_periodic_diff(theta))
+    du /= 2.0 * d_theta
     dv = np.empty_like(theta)
-    dv[1:-1] = _wrap_angle(theta[2:] - theta[:-2]) / (2.0 * d_phi)
-    dv[0] = (
-        4.0 * _wrap_angle(theta[1] - theta[0]) - _wrap_angle(theta[2] - theta[0])
-    ) / (2.0 * d_phi)
-    dv[-1] = (
-        4.0 * _wrap_angle(theta[-1] - theta[-2]) - _wrap_angle(theta[-1] - theta[-3])
-    ) / (2.0 * d_phi)
+    mid = _wrap_angle(np.subtract(theta[2:], theta[:-2], out=dv[1:-1]))
+    mid /= 2.0 * d_phi
+    # One-sided stencils of the first and last rows, both rows at once:
+    # near holds theta[1] - theta[0] and theta[-1] - theta[-2], far holds
+    # theta[2] - theta[0] and theta[-1] - theta[-3].
+    n_v = theta.shape[0]
+    near = _wrap_angle(theta[1::n_v - 2] - theta[::n_v - 2])
+    far = _wrap_angle(theta[2::n_v - 3] - theta[::n_v - 3])
+    near *= 4.0
+    near -= far
+    np.divide(near, 2.0 * d_phi, out=dv[::n_v - 1])
     return du, dv
 
 
@@ -93,13 +102,16 @@ def _extrapolate_pole_rows(jac: np.ndarray) -> np.ndarray:
     the poles, so extrapolating it in the polar angle from the three
     adjacent interior rows is exact for constant fields and third order
     for smooth ones.
+
+    Works in place on the rows (axis -2) of one field or a stack of
+    fields, and returns jac.  The source rows 2-4 and -3 to -5 are
+    disjoint from the replaced ones on every grid (at least 8 rows).
     """
-    out = jac.copy()
-    out[0] = 6.0 * jac[2] - 8.0 * jac[3] + 3.0 * jac[4]
-    out[1] = 3.0 * jac[2] - 3.0 * jac[3] + jac[4]
-    out[-1] = 6.0 * jac[-3] - 8.0 * jac[-4] + 3.0 * jac[-5]
-    out[-2] = 3.0 * jac[-3] - 3.0 * jac[-4] + jac[-5]
-    return out
+    jac[..., 0, :] = 6.0 * jac[..., 2, :] - 8.0 * jac[..., 3, :] + 3.0 * jac[..., 4, :]
+    jac[..., 1, :] = 3.0 * jac[..., 2, :] - 3.0 * jac[..., 3, :] + jac[..., 4, :]
+    jac[..., -1, :] = 6.0 * jac[..., -3, :] - 8.0 * jac[..., -4, :] + 3.0 * jac[..., -5, :]
+    jac[..., -2, :] = 3.0 * jac[..., -3, :] - 3.0 * jac[..., -4, :] + jac[..., -5, :]
+    return jac
 
 
 def jacobian_from_angles(
@@ -116,9 +128,16 @@ def jacobian_from_angles(
     """
     t_u, t_v = _azimuth_derivs(theta, grid.d_theta, grid.d_phi)
     p_u, p_v = _d_du(phi, grid.d_theta), _d_dv(phi, grid.d_phi)
-    det = t_u * p_v - t_v * p_u
-    area = (np.sin(phi) / np.sin(grid.phi)[:, None]) * det
-    return _extrapolate_pole_rows(area), _extrapolate_pole_rows(det)
+    jac = np.empty((2,) + theta.shape)
+    area, det = jac
+    np.multiply(t_u, p_v, out=det)
+    t_v *= p_u
+    det -= t_v
+    np.sin(phi, out=area)
+    area /= np.sin(grid.phi)[:, None]
+    area *= det
+    _extrapolate_pole_rows(jac)
+    return area, det
 
 
 def jacobian_det_of_image(grid: SphericalGrid, image: np.ndarray) -> np.ndarray:
@@ -160,7 +179,13 @@ def pullback(f: Surface, g: Diffeo) -> Surface:
 def flow_step(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     """Move points along a tangent velocity field and re-project to S²."""
     moved = points + velocity
-    return moved / np.sqrt((moved * moved).sum(axis=-1))[..., None]
+    sq = moved * moved
+    # (x^2 + y^2) + z^2: the order of numpy's sum over a length-3 axis
+    norms = sq[..., 0] + sq[..., 1]
+    norms += sq[..., 2]
+    np.sqrt(norms, out=norms)
+    moved /= norms[..., None]
+    return moved
 
 
 def random_diffeo(

@@ -8,6 +8,7 @@ normal field is well defined at every node.  Azimuth is periodic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +148,8 @@ def _d_dv(values: np.ndarray, d_phi: float) -> np.ndarray:
     scheme is second order at every row.
     """
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * d_phi)
+    mid = np.subtract(values[2:], values[:-2], out=out[1:-1])
+    mid /= 2.0 * d_phi
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * d_phi)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * d_phi)
     return out
@@ -205,9 +207,14 @@ def angles_to_sphere(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def sphere_to_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Azimuth in [0, 2*pi) and polar angle in [0, pi] of unit vectors."""
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    theta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    phi = np.arccos(np.clip(z, -1.0, 1.0))
+    theta = np.arctan2(points[..., 1], points[..., 0])
+    # np.mod(theta, 2 pi) on the arctan2 range [-pi, pi], bit for bit:
+    # negative angles gain 2 pi, and the 0.0 added to the others turns
+    # -0.0 into +0.0 as np.mod does.
+    theta += (theta < 0.0) * (2.0 * np.pi)
+    phi = np.maximum(points[..., 2], -1.0)
+    np.minimum(phi, 1.0, out=phi)
+    np.arccos(phi, out=phi)
     return theta, phi
 
 
@@ -221,31 +228,54 @@ def bilinear_sample(
     nearest row value is used).  values has shape (n_v, n_u, ...) and the
     result has shape theta.shape + values.shape[2:].
     """
-    tu = np.asarray(theta) / grid.d_theta
-    i0 = np.floor(tu).astype(int)
-    au = tu - i0
-    i0 = np.mod(i0, grid.n_u)
-    i1 = np.mod(i0 + 1, grid.n_u)
+    tu = np.array(theta, dtype=float, ndmin=1)
+    tu /= grid.d_theta
+    i0 = np.floor(tu)
+    au = np.subtract(tu, i0, out=tu)
+    i0 = i0.astype(np.intp)
+    np.remainder(i0, grid.n_u, out=i0)
+    i1 = i0 + 1
+    np.remainder(i1, grid.n_u, out=i1)
 
-    tv = np.asarray(phi) / grid.d_phi - 0.5
-    tv = np.clip(tv, 0.0, grid.n_v - 1.0)
-    j0 = np.floor(tv).astype(int)
-    j0 = np.minimum(j0, grid.n_v - 2)
-    av = tv - j0
+    tv = np.array(phi, dtype=float, ndmin=1)
+    tv /= grid.d_phi
+    tv -= 0.5
+    np.maximum(tv, 0.0, out=tv)
+    np.minimum(tv, grid.n_v - 1.0, out=tv)
+    j0 = np.floor(tv)
+    np.minimum(j0, grid.n_v - 2.0, out=j0)
+    av = np.subtract(tv, j0, out=tv)
 
-    # Gather rows of the flattened grid at j * n_u + i.
+    # Gather rows of the flattened grid at j * n_u + i: i0 and i1 become
+    # the flat indices on row j0 here, and on row j0 + 1 after adding n_u.
     flat = values.reshape((grid.n_v * grid.n_u,) + values.shape[2:])
-    r0 = j0 * grid.n_u
-    r1 = r0 + grid.n_u
-    extra = values.ndim - 2
-    shp = au.shape + (1,) * extra
-    au = au.reshape(shp)
-    av = av.reshape(shp)
+    r0 = j0.astype(np.intp)
+    r0 *= grid.n_u
+    i0 += r0
+    i1 += r0
+    # Weights repeated over the value components, so every product below
+    # is elementwise instead of broadcast along a short last axis.
+    shp = au.shape + values.shape[2:]
+    per_node = math.prod(values.shape[2:])
+    au = np.repeat(au.reshape(-1), per_node).reshape(shp)
+    av = np.repeat(av.reshape(-1), per_node).reshape(shp)
     bu = 1.0 - au
     bv = 1.0 - av
-    return (
-        np.take(flat, r0 + i0, axis=0) * bu * bv
-        + np.take(flat, r0 + i1, axis=0) * au * bv
-        + np.take(flat, r1 + i0, axis=0) * bu * av
-        + np.take(flat, r1 + i1, axis=0) * au * av
-    )
+    out = flat.take(i0, axis=0)
+    out *= bu
+    out *= bv
+    part = flat.take(i1, axis=0)
+    part *= au
+    part *= bv
+    out += part
+    i0 += grid.n_u
+    i1 += grid.n_u
+    flat.take(i0, axis=0, out=part)
+    part *= bu
+    part *= av
+    out += part
+    flat.take(i1, axis=0, out=part)
+    part *= au
+    part *= av
+    out += part
+    return out.reshape(np.shape(theta) + values.shape[2:])

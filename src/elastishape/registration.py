@@ -33,7 +33,12 @@ __all__ = [
 
 @dataclass
 class RegistrationOpts:
-    """Tuning knobs for the reparameterization search and alternation."""
+    """Tuning knobs for the reparameterization search and alternation.
+
+    Raises ValueError for values that would silently disable or break the
+    search: basis_degree < 1, negative max_iters, rounds or tol_rel,
+    grad_step <= 0, or steps outside 0 < step_floor <= step_init <= step_max.
+    """
 
     max_iters: int = 100
     tol_rel: float = 1e-5
@@ -43,6 +48,23 @@ class RegistrationOpts:
     step_init: float = 0.1
     step_max: float = 0.8
     step_floor: float = 1e-8
+
+    def __post_init__(self):
+        if self.basis_degree < 1:
+            raise ValueError(f"basis_degree must be >= 1, got {self.basis_degree}")
+        if self.max_iters < 0 or self.rounds < 0:
+            raise ValueError(
+                f"max_iters and rounds must be >= 0, got {self.max_iters} and {self.rounds}"
+            )
+        if not self.tol_rel >= 0.0:
+            raise ValueError(f"tol_rel must be >= 0, got {self.tol_rel}")
+        if not self.grad_step > 0.0:
+            raise ValueError(f"grad_step must be > 0, got {self.grad_step}")
+        if not 0.0 < self.step_floor <= self.step_init <= self.step_max:
+            raise ValueError(
+                "steps must satisfy 0 < step_floor <= step_init <= step_max, got "
+                f"{self.step_floor}, {self.step_init}, {self.step_max}"
+            )
 
 
 @dataclass
@@ -89,8 +111,10 @@ def _action_objective(
     area, coord = jacobian_from_angles(grid, theta, phi)
     if area.min() <= 0.0:
         return None
-    diff = q1 - _action_values(grid, smooth2, theta, phi, coord)
-    return float((diff * diff).sum() * grid.cell_measure)
+    diff = _action_values(grid, smooth2, theta, phi, coord)
+    np.subtract(q1, diff, out=diff)
+    diff *= diff
+    return float(diff.sum() * grid.cell_measure)
 
 
 def reparam_objective(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> float:
@@ -235,7 +259,7 @@ def register(
     trace = [distance]
 
     gamma = Diffeo(grid=grid, image=image)
-    for _ in range(max(opts.rounds, 0)):
+    for _ in range(opts.rounds):
         q2_rot = SrnfField(grid=grid, q=q2.q @ rotation.T)
         cand_gamma, _ = optimize_reparam(q1, q2_rot, opts, init=gamma)
         cand_rot = optimal_rotation(q1, srnf_action(q2, cand_gamma))

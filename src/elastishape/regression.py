@@ -6,7 +6,9 @@ scores, and covariate-by-score interactions.  Selection is bidirectional
 stepwise search from a forced baseline, scored by information criterion.
 Each stepwise call builds its full design once; every candidate model is
 a column slice of it, and each fit takes its rank, coefficients and
-standard errors from one pivoted QR factorization.
+standard errors from one pivoted QR factorization.  scipy is imported
+inside the functions that use it, so commands that never fit a model do
+not pay for its import.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.special import betainc
 
 from .errors import InputError, ParseError, RankDeficiencyError
 
@@ -247,6 +247,8 @@ def t_tail_p(t: np.ndarray, df: int) -> np.ndarray:
     `scipy.special.betainc`, giving
     P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2).
     """
+    from scipy.special import betainc
+
     t = np.asarray(t, dtype=float)
     x = df / (df + t * t)
     return betainc(df / 2.0, 0.5, x)
@@ -278,6 +280,8 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
     from the row norms of R^-1, since (X^T X)^-1 = P R^-1 R^-T P^T.
     X^T X is never formed, so its squared condition number never enters.
     """
+    from scipy.linalg import qr, solve_triangular
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     n, p = x.shape

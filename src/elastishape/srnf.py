@@ -82,9 +82,14 @@ def _action_values(
 ) -> np.ndarray:
     """Raw action values sqrt(J(s)) * q(gamma(s)) from `_pole_smoothed` q,
     the image angles of gamma and its coordinate Jacobian (no checks)."""
-    sampled = bilinear_sample(grid, smooth, theta, phi)
-    jac = np.maximum(coord_jac, 0.0)
-    return np.sqrt(jac)[..., None] * sampled * np.sqrt(np.sin(phi))[..., None]
+    values = bilinear_sample(grid, smooth, theta, phi)
+    root_jac = np.maximum(coord_jac, 0.0)
+    np.sqrt(root_jac, out=root_jac)
+    values *= root_jac[..., None]
+    root_sin = np.sin(phi)
+    np.sqrt(root_sin, out=root_sin)
+    values *= root_sin[..., None]
+    return values
 
 
 def srnf_action(q: SrnfField, g: Diffeo) -> SrnfField:

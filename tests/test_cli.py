@@ -117,6 +117,18 @@ def test_unknown_config_key_exits_2(workspace, tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "reg",
+    [{"basis_degree": 0}, {"max_iters": -3, "rounds": -1, "grad_step": -1}],
+)
+def test_registration_options_that_disable_the_search_exit_2(tmp_path, capsys, reg):
+    cfg = _write_config(tmp_path, {"n_subjects": 4, "registration": reg})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--grid", "16x16", "--out", str(out)]) == 2
+    assert "registration options" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_thread_and_seed_values(workspace, capsys):
     assert main(["simulate", "--threads", "0"]) == 2
     assert main(["simulate", "--seed", "-1"]) == 2

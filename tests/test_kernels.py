@@ -11,10 +11,21 @@ import pytest
 from elastishape.diffeos import (
     _extrapolate_pole_rows,
     _wrap_angle,
+    flow_step,
     jacobian_from_angles,
     random_diffeo,
 )
-from elastishape.grids import _d_du, _d_dv, bilinear_sample, make_grid, sphere_to_angles
+from elastishape.grids import (
+    _d_du,
+    _d_dv,
+    angles_to_sphere,
+    bilinear_sample,
+    make_grid,
+    sphere_to_angles,
+)
+from elastishape.registration import _action_objective
+from elastishape.sphharm import tangent_basis
+from elastishape.srnf import _action_values
 
 
 def _roll_d_du(values, d_theta):
@@ -104,3 +115,101 @@ def test_jacobian_from_angles_is_bit_exact(n):
         for got, ref in zip(jacobian_from_angles(grid, theta, phi),
                             _roll_jacobian(grid, theta, phi)):
             assert np.array_equal(got, ref)
+
+
+# Literal copies of the earlier sphere_to_angles, flow_step, _action_values
+# and _action_objective, wired to the reference sampler and Jacobian above.
+
+
+def _ref_sphere_to_angles(points):
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    theta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
+    phi = np.arccos(np.clip(z, -1.0, 1.0))
+    return theta, phi
+
+
+def _ref_flow_step(points, velocity):
+    moved = points + velocity
+    return moved / np.sqrt((moved * moved).sum(axis=-1))[..., None]
+
+
+def _ref_action_values(grid, smooth, theta, phi, coord_jac):
+    sampled = _fancy_bilinear(grid, smooth, theta, phi)
+    jac = np.maximum(coord_jac, 0.0)
+    return np.sqrt(jac)[..., None] * sampled * np.sqrt(np.sin(phi))[..., None]
+
+
+def _ref_action_objective(grid, q1, smooth2, image):
+    theta, phi = _ref_sphere_to_angles(image)
+    area, coord = _roll_jacobian(grid, theta, phi)
+    if area.min() <= 0.0:
+        return None
+    diff = q1 - _ref_action_values(grid, smooth2, theta, phi, coord)
+    return float((diff * diff).sum() * grid.cell_measure)
+
+
+def _seam_image(grid, seed):
+    """A random diffeo image turned about z so the node nearest the equator
+    sits 1e-13 below theta = 2 pi; random_diffeo at magnitude 0.5 also
+    moves nodes into both clamped pole bands."""
+    image = random_diffeo(grid, seed, 0.5).image
+    theta, phi = sphere_to_angles(image)
+    k = np.unravel_index(np.argmin(np.abs(phi - 0.5 * np.pi)), phi.shape)
+    a = (2.0 * np.pi - 1e-13) - theta[k]
+    turn = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+    image = image @ turn.T
+    theta, phi = sphere_to_angles(image)
+    assert 2.0 * np.pi - theta.max() < 1e-12
+    assert phi.min() < 0.5 * grid.d_phi and phi.max() > np.pi - 0.5 * grid.d_phi
+    return image
+
+
+# Exact poles, both signs of zero in y, and |z| rounded just above one.
+_SPECIAL_POINTS = np.array([
+    [1.0, -0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0 + 2e-16], [1e-300, -1e-300, -1.0],
+])
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_sphere_to_angles_and_flow_step_are_bit_exact(n):
+    grid = make_grid(n, n)
+    for seed in (5, 6):
+        image = _seam_image(grid, seed)
+        for points in (image, _SPECIAL_POINTS):
+            for got, ref in zip(sphere_to_angles(points), _ref_sphere_to_angles(points)):
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+        fields = tangent_basis(image, 3)
+        for k in (0, 7, 29):
+            velocity = 0.05 * fields[k]
+            for v in (velocity, -velocity):
+                assert np.array_equal(flow_step(image, v), _ref_flow_step(image, v))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_action_values_and_objective_are_bit_exact(n):
+    grid = make_grid(n, n)
+    rng = np.random.default_rng(n + 1)
+    q1 = rng.standard_normal((n, n, 3))
+    smooth = rng.standard_normal((n, n, 3))
+    for seed in (7, 8):
+        theta, phi = _sample_angles(grid, seed)
+        coord = jacobian_from_angles(grid, theta, phi)[1].copy()
+        coord[2, ::3] = -1e-3  # the clamp at zero
+        assert np.array_equal(_action_values(grid, smooth, theta, phi, coord),
+                              _ref_action_values(grid, smooth, theta, phi, coord))
+        image = _seam_image(grid, seed)
+        for img in (image, flow_step(image, 0.01 * tangent_basis(image, 3)[3])):
+            value = _action_objective(grid, q1, smooth, img)
+            assert value is not None
+            assert value == _ref_action_objective(grid, q1, smooth, img)
+
+
+def test_bilinear_sample_takes_scalar_angles():
+    grid = make_grid(16, 16)
+    values = np.random.default_rng(9).standard_normal((16, 16, 3))
+    for theta, phi in ((0.3, 1.2), (2.0 * np.pi - 1e-13, 0.01), (6.0, np.pi)):
+        got = bilinear_sample(grid, values, theta, phi)
+        assert got.shape == (3,)
+        assert np.array_equal(got, _fancy_bilinear(grid, values, theta, phi))

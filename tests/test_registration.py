@@ -127,3 +127,29 @@ def test_register_rejects_mismatched_grids(grid16, grid32):
     f2 = gen_surface("sphere", grid32)
     with pytest.raises(ValueError, match="grid"):
         register(f1, f2, OPTS)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"basis_degree": 0},
+        {"max_iters": -3},
+        {"rounds": -1},
+        {"tol_rel": -1e-6},
+        {"tol_rel": float("nan")},
+        {"grad_step": -1.0},
+        {"grad_step": 0.0},
+        {"step_floor": 0.0},
+        {"step_init": 1e-9},
+        {"step_init": 0.9},
+        {"step_max": 0.05},
+    ],
+)
+def test_registration_opts_reject_values_that_disable_the_search(bad):
+    with pytest.raises(ValueError):
+        RegistrationOpts(**bad)
+
+
+def test_registration_opts_accept_the_boundary_values():
+    RegistrationOpts(max_iters=0, rounds=0, tol_rel=0.0, basis_degree=1)
+    RegistrationOpts(step_floor=0.5, step_init=0.5, step_max=0.5)

@@ -172,3 +172,31 @@ def test_tangent_basis_makes_one_value_call_per_complex_harmonic(monkeypatch):
     # Y_l^a for 0 <= a <= l <= 3, values only
     assert len(calls) == 10
     assert not any("diff_n" in kwargs for kwargs in calls)
+
+
+def test_numpy_harmonics_match_scipy():
+    rng = np.random.default_rng(31)
+    extra = np.array([0.0, 1e-9, np.pi - 1e-9, np.pi])
+    ph = np.concatenate([np.arccos(rng.uniform(-1.0, 1.0, size=1000)), extra])
+    th = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, size=1000),
+                         rng.uniform(0.0, 2.0 * np.pi, size=extra.size)])
+    for l in range(9):
+        for m in range(-l, l + 1):
+            got = sphharm.sph_harm_y(l, m, ph, th)
+            assert np.abs(got - sph_harm_y(l, m, ph, th)).max() < 1e-13, (l, m)
+
+
+@pytest.mark.parametrize("l, m", [(1, 2), (1, -2), (-1, 0), (0, 1)])
+def test_invalid_harmonic_orders_raise(l, m):
+    th, ph = np.array([0.3, 1.0]), np.array([0.5, 2.0])
+    with pytest.raises(ValueError):
+        sphharm.sph_harm_y(l, m, ph, th)
+    with pytest.raises(ValueError):
+        real_harmonic(l, m, th, ph)
+    with pytest.raises(ValueError):
+        real_harmonic_grad(l, m, th, ph)
+
+
+def test_tangent_basis_needs_degree_one():
+    with pytest.raises(ValueError):
+        tangent_basis(_unit_points(4, 10), 0)
