@@ -186,9 +186,12 @@ def classical_mds(dist: np.ndarray, k: int) -> MdsResult:
 
     Double-centers the squared distance matrix, takes the top-k
     eigenpairs, and scales eigenvectors by the square roots of the
-    eigenvalues.  Negative eigenvalues are clamped to zero; if fewer than
-    k positive eigenvalues exist the remaining columns are zero and the
-    result is flagged as clipped.
+    eigenvalues.  Each eigenvector's sign is fixed so its largest-magnitude
+    entry is positive (ties go to the first), so rounding-level changes of
+    the distances cannot flip an axis.  Negative eigenvalues are clamped
+    to zero; if fewer than k positive eigenvalues exist (k > n included)
+    the remaining columns are zero and the result is flagged as clipped.
+    coords always has shape (n, k) and eigenvalues length k.
     """
     d = np.asarray(dist, dtype=float)
     n = d.shape[0]
@@ -201,13 +204,16 @@ def classical_mds(dist: np.ndarray, k: int) -> MdsResult:
 
     j = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * j @ (d * d) @ j
-    evals, evecs = np.linalg.eigh(b)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order][:k]
-    evecs = evecs[:, order][:, :k]
-    clipped = bool((evals <= 0).any()) or k > n
-    clamped = np.maximum(evals, 0.0)
-    coords = evecs * np.sqrt(clamped)[None, :]
+    vals, vecs = np.linalg.eigh(b)
+    order = np.argsort(vals)[::-1][:k]
+    evals = np.zeros(k)
+    evals[: len(order)] = vals[order]
+    evecs = np.zeros((n, k))
+    evecs[:, : len(order)] = vecs[:, order]
+    peak = evecs[np.abs(evecs).argmax(axis=0), np.arange(k)]
+    evecs[:, peak < 0.0] *= -1.0
+    clipped = bool((evals <= 0).any())
+    coords = evecs * np.sqrt(np.maximum(evals, 0.0))[None, :]
     return MdsResult(coords=coords, eigenvalues=evals, clipped=clipped)
 
 

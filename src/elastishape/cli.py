@@ -582,7 +582,8 @@ _COMMON = {
     "config": _arg("--config", default=None, help="JSON config file"),
     "seed": _arg("--seed", type=int, default=None, help="master seed"),
     "out": _arg("--out", default=None, help="output directory (default <command>-out)"),
-    "threads": _arg("--threads", type=int, default=1, help="worker cap"),
+    "threads": _arg("--threads", type=int, default=1,
+                    help="registration threads (1 registers serially)"),
     "grid": _arg("--grid", default=None, help="grid dims as N_UxN_V"),
     "verbose": _arg("--verbose", action="store_true", help="info logging"),
 }

@@ -6,6 +6,17 @@ diffeomorphisms gamma.  Rotations have a closed-form Procrustes solution;
 the diffeomorphism is found by gradient descent over coefficients of a
 low-degree harmonic tangent-field basis, accumulating one small flow per
 accepted step so every iterate remains a valid diffeomorphism.
+
+The gradient is a centered finite-difference stencil: two objective
+evaluations per basis field.  Those maps are evaluated as stacks of shape
+(maps, n_v, n_u, 3): the flow step, the image angles, the sampled action
+and the residual sums each take one numpy call per stack instead of one
+per map, while the Jacobian stencils and the orientation check still run
+map by map.  A stack holds the +h and -h maps of as many fields as fit
+in STENCIL_STACK_BYTES per image array, and always at least one pair.
+Larger stacks measured slower on one thread (6 and 10 maps at 32x32
+against 4).  Stacking changes no arithmetic, so the gradient is bit
+for bit the per-field one.
 """
 
 from __future__ import annotations
@@ -29,6 +40,10 @@ __all__ = [
     "reparam_objective",
     "reparam_gradient",
 ]
+
+# Byte budget of one (maps, n_v, n_u, 3) float array in a gradient's stacked
+# stencil: 4 maps at 32x32, 16 at 16x16, and the one +/- pair at 64x64.
+STENCIL_STACK_BYTES = 96 * 1024
 
 
 @dataclass
@@ -99,22 +114,39 @@ def optimal_rotation(q1: SrnfField, q2: SrnfField) -> np.ndarray:
     return _proper_rotation(np.einsum("vui,vuj->ij", q1.q, q2.q) * q1.grid.cell_measure)
 
 
-def _action_objective(
-    grid: SphericalGrid, q1: np.ndarray, smooth2: np.ndarray, image: np.ndarray
-):
-    """E(gamma) = |q1 - (q2 * gamma)|^2 for an explicit image, or None.
+def _stacked_objective(
+    grid: SphericalGrid, q1: np.ndarray, smooth2: np.ndarray, images: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """E(gamma) = |q1 - (q2 * gamma)|^2 for a stack of images (maps, n_v, n_u, 3).
 
-    None signals an orientation violation (non-positive Jacobian), which
-    the caller treats as an inadmissible step.
+    Returns the energies and a boolean mask of the admissible maps; a
+    False entry marks an orientation violation (non-positive Jacobian)
+    and its energy is meaningless.  The angles, the sampled action and
+    the residual sums run over the whole stack; the Jacobian stencils and
+    the orientation check run map by map.
     """
-    theta, phi = sphere_to_angles(image)
-    area, coord = jacobian_from_angles(grid, theta, phi)
-    if area.min() <= 0.0:
-        return None
+    maps = images.shape[0]
+    theta, phi = sphere_to_angles(images)
+    coord = np.empty(theta.shape)
+    admissible = np.empty(maps, dtype=bool)
+    for m in range(maps):
+        area, coord[m] = jacobian_from_angles(grid, theta[m], phi[m])
+        admissible[m] = area.min() > 0.0
     diff = _action_values(grid, smooth2, theta, phi, coord)
     np.subtract(q1, diff, out=diff)
     diff *= diff
-    return float(diff.sum() * grid.cell_measure)
+    energy = diff.reshape(maps, -1).sum(axis=1)
+    energy *= grid.cell_measure
+    return energy, admissible
+
+
+def _action_objective(
+    grid: SphericalGrid, q1: np.ndarray, smooth2: np.ndarray, image: np.ndarray
+):
+    """E(gamma) for one explicit image, or None on an orientation violation,
+    which the caller treats as an inadmissible step."""
+    energy, admissible = _stacked_objective(grid, q1, smooth2, image[None])
+    return float(energy[0]) if admissible[0] else None
 
 
 def reparam_objective(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> float:
@@ -126,19 +158,36 @@ def reparam_objective(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> float:
 
 
 def _basis_gradient(grid, q1, smooth2, image, fields, h, e_center):
-    """Centered directional finite differences along every basis field."""
-    grad = np.zeros(fields.shape[0])
-    for k in range(fields.shape[0]):
-        e_plus = _action_objective(grid, q1, smooth2, flow_step(image, h * fields[k]))
-        e_minus = _action_objective(grid, q1, smooth2, flow_step(image, -h * fields[k]))
-        if e_plus is None and e_minus is None:
-            continue
-        if e_plus is None:
-            grad[k] = (e_center - e_minus) / h
-        elif e_minus is None:
-            grad[k] = (e_plus - e_center) / h
-        else:
-            grad[k] = (e_plus - e_minus) / (2.0 * h)
+    """Centered directional finite differences along every basis field.
+
+    The +h and -h maps of consecutive fields are evaluated as one stack
+    of at most STENCIL_STACK_BYTES per image array (at least one pair).
+    A field with one inadmissible side falls back to the one-sided
+    difference from e_center; with both sides inadmissible its entry is 0.
+    """
+    n_fields = fields.shape[0]
+    per_stack = max(1, STENCIL_STACK_BYTES // (2 * image.nbytes))
+    energy = np.empty((n_fields, 2))
+    admissible = np.empty((n_fields, 2), dtype=bool)
+    for start in range(0, n_fields, per_stack):
+        block = fields[start:start + per_stack]
+        velocity = np.empty((len(block), 2) + image.shape)
+        np.multiply(block, h, out=velocity[:, 0])
+        np.negative(velocity[:, 0], out=velocity[:, 1])
+        images = flow_step(image, velocity.reshape((-1,) + image.shape))
+        e, ok = _stacked_objective(grid, q1, smooth2, images)
+        energy[start:start + len(block)] = e.reshape(-1, 2)
+        admissible[start:start + len(block)] = ok.reshape(-1, 2)
+
+    e_plus, e_minus = energy.T
+    ok_plus, ok_minus = admissible.T
+    grad = np.zeros(n_fields)
+    both = ok_plus & ok_minus
+    grad[both] = (e_plus[both] - e_minus[both]) / (2.0 * h)
+    plus_only = ok_plus & ~ok_minus
+    grad[plus_only] = (e_plus[plus_only] - e_center) / h
+    minus_only = ok_minus & ~ok_plus
+    grad[minus_only] = (e_center - e_minus[minus_only]) / h
     return grad
 
 
@@ -168,9 +217,11 @@ def optimize_reparam(
     """Gradient descent over sphere diffeomorphisms minimizing |q1 - q2*gamma|^2.
 
     Each iteration evaluates directional finite differences of the
-    objective along every tangent-basis field, then backtracks a step of
-    the normalized descent direction until the objective decreases and the
-    stepped map stays orientation preserving.  Accepted flows accumulate
+    objective along every tangent-basis field (two evaluations per field,
+    issued in stacks of at most STENCIL_STACK_BYTES per image array, see
+    the module docstring), then backtracks a step of the normalized
+    descent direction until the objective decreases and the stepped map
+    stays orientation preserving.  Accepted flows accumulate
     multiplicatively on the current diffeomorphism.
 
     Returns the accumulated diffeomorphism and the non-increasing trace of

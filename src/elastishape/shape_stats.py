@@ -77,7 +77,14 @@ def geodesic(f1: Surface, f2_star: Surface, tau: float) -> Surface:
 def register_cohort(
     template: Surface, surfaces: list, opts=None, threads: int = 1
 ) -> list:
-    """Register every surface to a common template, optionally threaded."""
+    """Register every surface to a common template, optionally threaded.
+
+    Threads share the interpreter lock, and the search is mostly small
+    numpy calls, so threads=2 is still slower than serial: on 8 subjects
+    at 32x32 (max_iters=8, rounds=2, one BLAS thread, 2 CPUs) it took
+    1.07x the serial time (medians of 5 runs, 3.12 s against 2.91 s).
+    The results are identical to serial ones.
+    """
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda f: register(template, f, opts), surfaces))

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from elastishape.grids import make_grid
 from elastishape.synthetic import gen_surface
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure reproduces and nothing is written to the tree.
+settings.register_profile(
+    "elastishape", derandomize=True, deadline=None, max_examples=25, database=None
+)
+settings.load_profile("elastishape")
 
 
 @pytest.fixture(scope="session")

@@ -130,6 +130,37 @@ def test_mds_zero_matrix_is_clipped_to_origin():
     assert_allclose(res.coords, 0.0)
 
 
+def test_mds_axis_signs_do_not_depend_on_the_eigensolver(monkeypatch):
+    x = np.random.default_rng(5).standard_normal((7, 3))
+    dist = cdist(x, x)
+    res = classical_mds(dist, 3)
+    peaks = res.coords[np.abs(res.coords).argmax(axis=0), np.arange(3)]
+    assert (peaks > 0.0).all()
+
+    eigh = np.linalg.eigh
+
+    def flipped_eigh(b):
+        vals, vecs = eigh(b)
+        return vals, -vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped_eigh)
+    flipped = classical_mds(dist, 3)
+    assert np.array_equal(flipped.coords, res.coords)
+    assert np.array_equal(flipped.eigenvalues, res.eigenvalues)
+
+
+def test_mds_pads_to_k_columns_beyond_n():
+    pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
+    dist = cdist(pts, pts)
+    res = classical_mds(dist, 5)
+    assert res.coords.shape == (3, 5)
+    assert res.eigenvalues.shape == (5,)
+    assert res.clipped
+    assert np.array_equal(res.coords[:, 3:], np.zeros((3, 2)))
+    assert np.array_equal(res.eigenvalues[3:], np.zeros(2))
+    assert_allclose(cdist(res.coords, res.coords), dist, atol=1e-10)
+
+
 def test_mds_validation():
     with pytest.raises(ValueError, match="square"):
         classical_mds(np.zeros((3, 4)), 1)

@@ -5,8 +5,12 @@ floating-point operations; the kernels must give identical arrays, not
 close ones, so seeded registrations do not move.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastishape.diffeos import (
     _extrapolate_pole_rows,
@@ -23,9 +27,13 @@ from elastishape.grids import (
     make_grid,
     sphere_to_angles,
 )
-from elastishape.registration import _action_objective
+from elastishape.registration import (
+    _action_objective,
+    _stacked_objective,
+    reparam_gradient,
+)
 from elastishape.sphharm import tangent_basis
-from elastishape.srnf import _action_values
+from elastishape.srnf import SrnfField, _action_values, _pole_smoothed
 
 
 def _roll_d_du(values, d_theta):
@@ -213,3 +221,107 @@ def test_bilinear_sample_takes_scalar_angles():
         got = bilinear_sample(grid, values, theta, phi)
         assert got.shape == (3,)
         assert np.array_equal(got, _fancy_bilinear(grid, values, theta, phi))
+
+
+# A literal copy of the earlier per-field finite-difference gradient, wired
+# to the reference objective and flow step above, counting the branch each
+# basis field takes.
+
+
+def _ref_basis_gradient(grid, q1, smooth2, image, fields, h, e_center, hits):
+    grad = np.zeros(fields.shape[0])
+    for k in range(fields.shape[0]):
+        e_plus = _ref_action_objective(grid, q1, smooth2, _ref_flow_step(image, h * fields[k]))
+        e_minus = _ref_action_objective(grid, q1, smooth2, _ref_flow_step(image, -h * fields[k]))
+        if e_plus is None and e_minus is None:
+            hits["skip"] += 1
+            continue
+        if e_plus is None:
+            hits["minus"] += 1
+            grad[k] = (e_center - e_minus) / h
+        elif e_minus is None:
+            hits["plus"] += 1
+            grad[k] = (e_plus - e_center) / h
+        else:
+            hits["central"] += 1
+            grad[k] = (e_plus - e_minus) / (2.0 * h)
+    return grad
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_reparam_gradient_is_bit_exact(n):
+    grid = make_grid(n, n)
+    rng = np.random.default_rng(n + 2)
+    q1 = SrnfField(grid=grid, q=rng.standard_normal((n, n, 3)))
+    q2 = SrnfField(grid=grid, q=rng.standard_normal((n, n, 3)))
+    smooth2 = _pole_smoothed(grid, q2.q)
+    hits = Counter()
+    # The default step at the seam image, then a strongly warped image and
+    # a coarse step under which some +h maps, some -h maps and some pairs
+    # fold over.
+    for image, h in ((_seam_image(grid, 5), 1e-4), (random_diffeo(grid, 2, 1.0).image, 0.1)):
+        fields = tangent_basis(image, 3)
+        e_center = _ref_action_objective(grid, q1.q, smooth2, image)
+        ref = _ref_basis_gradient(grid, q1.q, smooth2, image, fields, h, e_center, hits)
+        assert np.array_equal(reparam_gradient(q1, q2, image, 3, h), ref)
+    assert set(hits) == {"central", "plus", "minus", "skip"}
+
+
+def _mirrored(image):
+    """The image reflected in the yz-plane: an orientation-reversing map."""
+    out = image.copy()
+    out[..., 0] *= -1.0
+    return out
+
+
+def _check_stack_against_single_maps(grid, q1, smooth, stack):
+    energy, admissible = _stacked_objective(grid, q1, smooth, stack)
+    assert energy.shape == admissible.shape == (len(stack),)
+    assert admissible.dtype == bool
+    for m, image in enumerate(stack):
+        value = _action_objective(grid, q1, smooth, image)
+        assert admissible[m] == (value is not None)
+        if value is not None:
+            assert energy[m] == value
+    return admissible
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_stacked_objective_matches_the_one_map_objective(n):
+    grid = make_grid(n, n)
+    rng = np.random.default_rng(n + 3)
+    q1 = rng.standard_normal((n, n, 3))
+    smooth = rng.standard_normal((n, n, 3))
+    image = _seam_image(grid, 9)
+    fields = tangent_basis(image, 3)
+    stack = np.stack([
+        image,
+        _mirrored(grid.nodes()),
+        flow_step(image, 0.01 * fields[4]),
+        grid.nodes(),
+        flow_step(image, -0.3 * fields[11]),
+    ])
+    admissible = _check_stack_against_single_maps(grid, q1, smooth, stack)
+    assert not admissible[1]
+    assert admissible[[0, 2, 3]].all()
+
+
+_GRID16 = make_grid(16, 16)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    magnitude=st.floats(0.05, 1.5),
+    maps=st.integers(1, 6),
+    mirror_bits=st.integers(0, 63),
+)
+def test_stacked_objective_property(seed, magnitude, maps, mirror_bits):
+    grid = _GRID16
+    rng = np.random.default_rng(seed)
+    q1 = rng.standard_normal((16, 16, 3))
+    smooth = rng.standard_normal((16, 16, 3))
+    mirror = np.array([(mirror_bits >> m) & 1 == 1 for m in range(maps)])
+    images = [random_diffeo(grid, seed + m, magnitude).image for m in range(maps)]
+    stack = np.stack([_mirrored(img) if flip else img for img, flip in zip(images, mirror)])
+    admissible = _check_stack_against_single_maps(grid, q1, smooth, stack)
+    assert not admissible[mirror].any()
