@@ -430,7 +430,8 @@ def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
     """Score table for one structure, reordered to the covariate subjects.
 
     With an id column, rows are matched by id; otherwise row order must
-    match the covariate file and the row count must agree.
+    match the covariate file and the row count must agree.  Every score
+    must be a finite number.
     """
     p = Path(path)
     with p.open(newline="") as fh:
@@ -440,19 +441,28 @@ def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
     header, body = rows[0], rows[1:]
     if not body:
         raise InputError(f"{p}: no score rows")
+    first = 1 if header and header[0].strip().lower() == "id" else 0
     try:
-        if header and header[0].strip().lower() == "id":
-            by_id = {r[0]: [float(x) for x in r[1:]] for r in body}
-            missing = [s for s in cov.ids if s not in by_id]
-            if missing:
-                raise InputError(
-                    f"{p}: missing scores for subjects: {', '.join(missing[:5])}"
-                )
-            mat = np.array([by_id[s] for s in cov.ids])
-        else:
-            mat = np.array([[float(x) for x in r] for r in body])
+        table = np.array([[float(x) for x in r[first:]] for r in body])
     except ValueError as exc:
         raise InputError(f"{p}: non-numeric score value ({exc})") from exc
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0] + (0, first)
+        name = header[j] if j < len(header) else f"column {j + 1}"
+        raise InputError(
+            f"{p}: line {i + 2}, field '{name}': not finite ({body[i][j]!r})"
+        )
+    if first:
+        row_of = {r[0]: i for i, r in enumerate(body)}
+        missing = [s for s in cov.ids if s not in row_of]
+        if missing:
+            raise InputError(
+                f"{p}: missing scores for subjects: {', '.join(missing[:5])}"
+            )
+        mat = table[[row_of[s] for s in cov.ids]]
+    else:
+        mat = table
     if mat.shape[0] != cov.n_subjects:
         raise InputError(
             f"{p}: {mat.shape[0]} rows for {cov.n_subjects} subjects"

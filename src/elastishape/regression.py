@@ -4,9 +4,13 @@ Implements the ten-model comparison suite relating symptom scores to
 age, depression score, intracranial volume, per-structure principal
 scores, and covariate-by-score interactions.  Selection is bidirectional
 stepwise search from a forced baseline, scored by information criterion.
-Each stepwise call builds its full design once; every candidate model is
-a column slice of it, and each fit takes its rank, coefficients and
-standard errors from one pivoted QR factorization.  scipy is imported
+Each stepwise call builds its full design once.  Each step of the search
+factors the current model's columns once and scores every add and drop
+move from that factorization by the textbook residual-sum-of-squares
+updates; a move that would make the design rank deficient or
+underdetermined is skipped and counted.  Full inference (`ols_fit`: rank,
+coefficients and standard errors from one pivoted QR, t-based p-values)
+runs only for the baseline and for the selected model.  scipy is imported
 inside the functions that use it, so commands that never fit a model do
 not pay for its import.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,8 +83,9 @@ class CovariateTable:
     def from_csv(cls, path, strict: bool = True) -> "CovariateTable":
         """Ingest a covariate CSV.
 
-        Declared score ranges are enforced when strict; otherwise
-        violations are logged and kept.  Labels must be 0 or 1 either way.
+        Every field but the id must be a finite number.  Declared score
+        ranges are enforced when strict; otherwise violations are logged
+        and kept.  Labels must be 0 or 1 either way.
         """
         path = Path(path)
         with path.open(newline="") as fh:
@@ -102,11 +108,16 @@ class CovariateTable:
                     cols[c].append(value)
                     continue
                 try:
-                    cols[c].append(float(value))
+                    number = float(value)
                 except (TypeError, ValueError) as exc:
                     raise ParseError(
                         f"{path}: line {ln}, field '{c}': not numeric ({value!r})"
                     ) from exc
+                if not math.isfinite(number):
+                    raise ParseError(
+                        f"{path}: line {ln}, field '{c}': not finite ({value!r})"
+                    )
+                cols[c].append(number)
         table = cls(
             ids=cols["id"],
             age=np.array(cols["age"]),
@@ -330,25 +341,32 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
     )
 
 
-def _criterion_value(name: str, x, y, terms):
-    fit = ols_fit(x, y, terms)
-    n = fit.n_obs
-    ssr = max(fit.residual_variance * fit.df_resid, 1e-300)
-    k = len(terms)
+def _criterion_value(name: str, rss: float, n: int, k: int) -> float:
+    """AIC or BIC of a k-column least-squares fit to n rows with residual sum rss."""
+    rss = max(rss, 1e-300)
     if name == "aic":
-        value = n * np.log(ssr / n) + 2 * k
-    elif name == "bic":
-        value = n * np.log(ssr / n) + np.log(n) * k
-    else:
-        raise ValueError(f"unknown criterion '{name}'")
-    return value, fit
+        return n * np.log(rss / n) + 2 * k
+    if name == "bic":
+        return n * np.log(rss / n) + np.log(n) * k
+    raise ValueError(f"unknown criterion '{name}'")
 
 
 @dataclass
 class StepwiseResult:
+    """The selected model's fit, the criterion trace of the moves that led
+    to it, and how many candidate moves were skipped because the design
+    would have been rank deficient or underdetermined."""
+
     fit: RegressionFit
     trace: list = field(default_factory=list)
     criterion: str = "aic"
+    skipped_rank: int = 0
+    skipped_underdetermined: int = 0
+
+
+# Add candidates are projected this many columns at a time, so the scratch
+# arrays stay a few hundred kilobytes however many candidates there are.
+_ADD_BLOCK = 8
 
 
 def stepwise_bidirectional(
@@ -362,45 +380,123 @@ def stepwise_bidirectional(
     Starts from the forced baseline (intercept and plain covariates),
     then repeatedly applies the single add-or-drop move that most
     improves the criterion, breaking ties toward the earlier candidate in
-    term order, until no move improves.  Candidate moves that make the
-    design rank deficient or underdetermined are skipped.  The full
-    design is built once (a term whose score column is missing raises
-    ValueError) and each candidate is fitted on a slice of its columns.
+    term order (adds in spec order, then drops), until no move improves.
+    The full design is built once; a term whose score column is missing,
+    or whose column or response holds a non-finite value, raises
+    ValueError.
+
+    Each step factors the current design X_S = Q R (k columns) once and
+    scores every move from that factorization, with e = y - Q Q^T y and
+    rss = e.e:
+
+    - adding column c: z = c - Q Q^T c (projected a second time when
+      it lost more than half its length), rss_add = rss - (z.e)^2 / z.z;
+    - dropping column j, with b = R^-1 Q^T y:
+      rss_drop = rss + b_j^2 / |row j of R^-1|^2.
+
+    An add is skipped where `ols_fit` would raise: as underdetermined
+    when n < k + 2, and as rank deficient when |z| is at or below
+    `ols_fit`'s rank tolerance, max(n, k + 1) eps times the largest
+    column norm of the enlarged design.  The two counts are kept on the
+    result.  Full inference (`ols_fit`) runs only for the baseline, whose
+    rank deficiency raises, and once for the selected terms.
     """
     x_full, names = design_matrix(spec_full, cov, scores)
     y = cov.response(spec_full.response)
-    column = {t: j for j, t in enumerate(names)}
+    finite = np.isfinite(x_full).all(axis=0)
+    if not finite.all():
+        bad = ", ".join(t for t, ok in zip(names, finite) if not ok)
+        raise ValueError(f"non-finite values in design column(s): {bad}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"non-finite values in response '{spec_full.response}'")
 
-    def fit_terms(terms):
-        x = x_full[:, [column[t] for t in terms]]
-        return _criterion_value(criterion, x, y, terms)
+    column = {t: j for j, t in enumerate(names)}
+    n = x_full.shape[0]
+    col_norms = np.sqrt(np.einsum("ij,ij->j", x_full, x_full))
+    eps = np.finfo(float).eps
+
+    def columns(terms):
+        return [column[t] for t in terms]
 
     forced = spec_full.forced_terms()
     selected = list(forced)
-    value, fit = fit_terms(selected)
+    fit = ols_fit(x_full[:, columns(selected)], y, selected)
+    value = _criterion_value(
+        criterion, fit.residual_variance * fit.df_resid, n, len(selected)
+    )
     trace = [(None, None, value)]
+    skipped_rank = skipped_under = 0
+    # Imported once the baseline fit has loaded scipy.  numpy bundles a LAPACK
+    # of its own; factoring with that one instead raised a regress run's peak
+    # RSS by a further 0.7 MB.
+    from scipy.linalg import qr, solve_triangular
 
     while True:
+        k = len(selected)
+        sel = columns(selected)
+        q, r = qr(x_full[:, sel], mode="economic", check_finite=False)
+        qty = q.T @ y
+        e = y - q @ qty
+        rss = float(e @ e)
         best = None
-        candidates = [("add", t) for t in spec_full.terms if t not in selected]
-        candidates += [("drop", t) for t in selected if t not in forced]
-        for action, term in candidates:
-            if action == "add":
-                terms = [t for t in spec_full.terms if t in selected or t == term]
-            else:
-                terms = [t for t in selected if t != term]
-            try:
-                cand_value, cand_fit = fit_terms(terms)
-            except (RankDeficiencyError, ValueError):
+
+        adds = [t for t in spec_full.terms if t not in selected]
+        if n < k + 2:
+            skipped_under += len(adds)
+            for term in adds:
+                logger.debug("skipped add %s: %s", term, "underdetermined")
+            adds = []
+        norm_s = col_norms[sel].max() if k else 0.0
+        for start in range(0, len(adds), _ADD_BLOCK):
+            block = adds[start:start + _ADD_BLOCK]
+            idx = columns(block)
+            z = x_full[:, idx]
+            z -= q @ (q.T @ z)
+            zz = np.einsum("ij,ij->j", z, z)
+            again = zz < 0.25 * col_norms[idx] ** 2
+            if again.any():
+                z[:, again] -= q @ (q.T @ z[:, again])
+                zz[again] = np.einsum("ij,ij->j", z[:, again], z[:, again])
+            tol = max(n, k + 1) * eps * np.maximum(norm_s, col_norms[idx])
+            ze = e @ z
+            for term, zz_j, ze_j, tol_j in zip(block, zz, ze, tol):
+                if zz_j <= tol_j * tol_j:
+                    skipped_rank += 1
+                    logger.debug("skipped add %s: %s", term, "rank deficient")
+                    continue
+                rss_add = rss - ze_j * ze_j / zz_j
+                cand = _criterion_value(criterion, rss_add, n, k + 1)
+                if cand < value and (best is None or cand < best[0]):
+                    best = (cand, "add", term)
+
+        r_inv = solve_triangular(r, np.eye(k), check_finite=False)
+        b = r_inv @ qty
+        rss_drop = rss + b * b / np.einsum("ij,ij->i", r_inv, r_inv)
+        for j, term in enumerate(selected):
+            if term in forced:
                 continue
-            if cand_value < value and (best is None or cand_value < best[0]):
-                best = (cand_value, action, term, terms, cand_fit)
+            cand = _criterion_value(criterion, float(rss_drop[j]), n, k - 1)
+            if cand < value and (best is None or cand < best[0]):
+                best = (cand, "drop", term)
+
         if best is None:
             break
-        value, action, term, selected, fit = best
+        value, action, term = best
+        if action == "add":
+            selected = [t for t in spec_full.terms if t in selected or t == term]
+        else:
+            selected = [t for t in selected if t != term]
         trace.append((action, term, value))
 
-    return StepwiseResult(fit=fit, trace=trace, criterion=criterion)
+    if len(trace) > 1:
+        fit = ols_fit(x_full[:, columns(selected)], y, selected)
+    return StepwiseResult(
+        fit=fit,
+        trace=trace,
+        criterion=criterion,
+        skipped_rank=skipped_rank,
+        skipped_underdetermined=skipped_under,
+    )
 
 
 def _ps_block(structures, n_ps):
@@ -464,6 +560,14 @@ def run_model_suite(
     report = []
     for model_id in sorted(specs):
         result = stepwise_bidirectional(specs[model_id], cov, scores, criterion)
+        logger.info(
+            "model %d: %d stepwise moves; skipped %d rank-deficient and %d "
+            "underdetermined candidate(s)",
+            model_id,
+            len(result.trace) - 1,
+            result.skipped_rank,
+            result.skipped_underdetermined,
+        )
         fit = result.fit
         selected = []
         for j, term in enumerate(fit.terms):

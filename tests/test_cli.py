@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 from dataclasses import asdict
 
 import numpy as np
@@ -369,6 +370,50 @@ def test_regress_rank_deficiency_exits_4(regress_inputs, tmp_path, capsys):
     )
     assert code == 4
     assert "columns" in capsys.readouterr().err
+
+
+def test_regress_verbose_logs_stepwise_skips(regress_inputs, tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="elastishape.regression"):
+        code = main(["regress", "--covariates", str(regress_inputs / "cov.csv"),
+                     "--scores", f"shape={regress_inputs / 'scores.csv'}",
+                     "--verbose", "--out", str(tmp_path / "o")])
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records]
+    lines = [line for line in lines if "stepwise moves" in line]
+    assert [line.split(":")[0] for line in lines] == [
+        f"model {m}" for m in range(1, 11)
+    ]
+    assert all("rank-deficient and" in line and "underdetermined" in line
+               for line in lines)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert "skipped" not in json.dumps(manifest)
+
+
+@pytest.mark.parametrize(
+    "table, column, value",
+    [("scores.csv", "z1", "nan"), ("cov.csv", "age", "inf")],
+)
+def test_regress_rejects_non_finite_inputs(
+    regress_inputs, tmp_path, capsys, table, column, value
+):
+    paths = {"cov.csv": regress_inputs / "cov.csv",
+             "scores.csv": regress_inputs / "scores.csv"}
+    header, rows = _read_csv(paths[table])
+    rows[4][header.index(column)] = value
+    paths[table] = tmp_path / table
+    with paths[table].open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    out = tmp_path / "o"
+    code = main(["regress", "--covariates", str(paths["cov.csv"]),
+                 "--scores", f"shape={paths['scores.csv']}", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(paths[table]) in err
+    assert f"line 6, field '{column}'" in err
+    assert "not finite" in err
+    assert not out.exists()
 
 
 def test_simulate_small_run(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -279,3 +281,173 @@ def test_run_model_suite_report_rows():
             assert sel["sign"] in "+-"
             assert 0.0 <= sel["p_value"] <= 1.0
             assert np.sign(sel["coefficient"]) >= 0 or sel["sign"] == "-"
+
+
+def _reference_criterion_value(name: str, x, y, terms):
+    fit = ols_fit(x, y, terms)
+    n = fit.n_obs
+    ssr = max(fit.residual_variance * fit.df_resid, 1e-300)
+    k = len(terms)
+    if name == "aic":
+        value = n * np.log(ssr / n) + 2 * k
+    elif name == "bic":
+        value = n * np.log(ssr / n) + np.log(n) * k
+    else:
+        raise ValueError(f"unknown criterion '{name}'")
+    return value, fit
+
+
+def _reference_stepwise(spec_full, cov, scores, criterion):
+    """The search that refits every candidate move with `ols_fit`.
+
+    A copy of the loop that QR-update scoring replaced, kept as the
+    reference; it also returns each skipped add as (term, reason).
+    """
+    x_full, names = design_matrix(spec_full, cov, scores)
+    y = cov.response(spec_full.response)
+    column = {t: j for j, t in enumerate(names)}
+
+    def fit_terms(terms):
+        x = x_full[:, [column[t] for t in terms]]
+        return _reference_criterion_value(criterion, x, y, terms)
+
+    forced = spec_full.forced_terms()
+    selected = list(forced)
+    value, fit = fit_terms(selected)
+    trace = [(None, None, value)]
+    skipped = []
+
+    while True:
+        best = None
+        candidates = [("add", t) for t in spec_full.terms if t not in selected]
+        candidates += [("drop", t) for t in selected if t not in forced]
+        for action, term in candidates:
+            if action == "add":
+                terms = [t for t in spec_full.terms if t in selected or t == term]
+            else:
+                terms = [t for t in selected if t != term]
+            try:
+                cand_value, cand_fit = fit_terms(terms)
+            except RankDeficiencyError:
+                skipped.append((term, "rank deficient"))
+                continue
+            except ValueError:
+                skipped.append((term, "underdetermined"))
+                continue
+            if cand_value < value and (best is None or cand_value < best[0]):
+                best = (cand_value, action, term, terms, cand_fit)
+        if best is None:
+            break
+        value, action, term, selected, fit = best
+        trace.append((action, term, value))
+
+    return fit, trace, skipped
+
+
+def _assert_matches_reference(spec, table, scores, criterion, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="elastishape.regression"):
+        result = stepwise_bidirectional(spec, table, scores, criterion)
+    fit, trace, skipped = _reference_stepwise(spec, table, scores, criterion)
+    assert [t[:2] for t in result.trace] == [t[:2] for t in trace]
+    assert result.fit.terms == fit.terms
+    for attr in ("coefficients", "std_errors", "p_values"):
+        assert np.array_equal(getattr(result.fit, attr), getattr(fit, attr)), attr
+    # A criterion is n log(rss / n) plus a penalty: a relative error of
+    # 1e-12 in rss moves it by n * 1e-12, and a value near zero has no
+    # relative precision of its own.
+    assert_allclose(
+        [t[2] for t in result.trace],
+        [t[2] for t in trace],
+        rtol=1e-12,
+        atol=1e-12 * table.n_subjects,
+    )
+    logged = [r.args for r in caplog.records if r.msg.startswith("skipped add")]
+    assert logged == skipped
+    assert result.skipped_rank == sum(r == "rank deficient" for _, r in skipped)
+    assert result.skipped_underdetermined == sum(
+        r == "underdetermined" for _, r in skipped
+    )
+    return result, skipped
+
+
+def _planted_cohort(n, seed, n_ps=6):
+    rng = np.random.default_rng(seed)
+    table = _table(n=n, seed=seed)
+    scores = {s: 0.3 * rng.standard_normal((n, n_ps)) for s in ("h", "t")}
+    table.pss = (10.0 + 0.05 * table.age + 8.0 * scores["h"][:, 0]
+                 + 0.2 * table.bdi * scores["t"][:, 1] + rng.standard_normal(n))
+    table.ctqtot = 50.0 + 0.4 * table.bdi - 10.0 * scores["t"][:, 2] \
+        + 3.0 * rng.standard_normal(n)
+    return table, scores
+
+
+@pytest.mark.parametrize("criterion", ["aic", "bic"])
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_stepwise_matches_the_per_candidate_refits(seed, criterion, caplog):
+    table, scores = _planted_cohort(150, seed)
+    specs = suite_specs(["h", "t"], n_ps=6, n_interact_ps=3)
+    moves = 0
+    for spec in specs.values():
+        result, skipped = _assert_matches_reference(
+            spec, table, scores, criterion, caplog
+        )
+        assert skipped == []
+        moves += len(result.trace) - 1
+    assert moves > 10
+
+
+@pytest.mark.parametrize("criterion", ["aic", "bic"])
+def test_stepwise_skips_a_duplicated_score_column_like_ols_fit(criterion, caplog):
+    table, scores = _planted_cohort(80, 7)
+    scores["h"][:, 1] = scores["h"][:, 0]
+    spec = ModelSpec(
+        response="pss",
+        terms=["intercept", "age", "bdi"]
+        + [f"ps(h,{k})" for k in range(1, 5)]
+        + [f"age*ps(h,{k})" for k in range(1, 3)],
+        n_ps=4,
+        n_interact_ps=2,
+    )
+    result, skipped = _assert_matches_reference(
+        spec, table, scores, criterion, caplog
+    )
+    assert "ps(h,1)" in result.fit.terms
+    assert ("ps(h,2)", "rank deficient") in skipped
+    assert result.skipped_rank > 0
+
+
+@pytest.mark.parametrize("criterion", ["aic", "bic"])
+def test_stepwise_skips_underdetermined_adds_like_ols_fit(criterion, caplog):
+    table, scores = _planted_cohort(9, 5, n_ps=8)
+    table.pss = table.pss + 40.0 * scores["t"][:, 3]
+    spec = ModelSpec(
+        response="pss",
+        terms=["intercept", "age", "bdi"] + [f"ps(t,{k})" for k in range(1, 9)],
+        n_ps=8,
+    )
+    result, skipped = _assert_matches_reference(
+        spec, table, scores, criterion, caplog
+    )
+    assert result.skipped_underdetermined > 0
+
+
+def test_stepwise_from_an_empty_baseline(caplog):
+    table, scores = _planted_cohort(60, 3)
+    spec = ModelSpec(response="ctqtot", terms=[f"ps(t,{k})" for k in range(1, 7)],
+                     n_ps=6)
+    assert spec.forced_terms() == []
+    result, _ = _assert_matches_reference(spec, table, scores, "bic", caplog)
+    assert len(result.trace) > 1
+
+
+def test_stepwise_rejects_non_finite_data():
+    table, scores = _planted_cohort(40, 1)
+    spec = ModelSpec(response="pss", terms=["intercept", "age", "ps(h,1)"], n_ps=6)
+    scores["h"][3, 0] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite.*ps\(h,1\)"):
+        stepwise_bidirectional(spec, table, scores)
+    scores["h"][3, 0] = 0.0
+    table.pss[0] = np.inf
+    with pytest.raises(ValueError, match="non-finite.*pss"):
+        stepwise_bidirectional(spec, table, scores)
