@@ -13,14 +13,14 @@ take --config --seed --threads --grid; mean takes --config --seed
 --threads; register, pca and regress take --config; scores and
 export-path take no other common flag.
 
-Exit codes: 0 success, 2 configuration error, 3 input error, 4 numerical
-failure.
+Exit codes: 0 success, 2 configuration error, 3 input error (a missing,
+malformed or inconsistent input file: surface, model or CSV table), 4
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import re
@@ -43,11 +43,17 @@ from .baseline import (
 from .diffeos import jacobian_det, pullback, random_diffeo
 from .errors import ConfigError, InputError, NumericalError
 from .fileio import (
+    check_keys,
     export_obj,
+    id_column,
+    load_json_object,
     load_model,
     load_surface,
+    numeric_columns,
+    read_csv,
     save_model,
     save_surface,
+    write_csv,
     write_matrix_csv,
 )
 from .grids import make_grid
@@ -63,9 +69,8 @@ from .shape_stats import (
     register_cohort,
     shape_pca,
 )
-from .sphharm import harmonic_orders, real_harmonic
 from .srnf import srnf
-from .synthetic import gen_pca_cohort, gen_surface
+from .synthetic import gen_pca_cohort, gen_surface, radial_bump
 
 logger = logging.getLogger(__name__)
 
@@ -99,12 +104,6 @@ _CMP_DEFAULTS = {
 _MEAN_SEED_ATTEMPTS = 8
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _pick(*values):
     for v in values:
         if v is not None:
@@ -119,30 +118,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{p}: top level must be an object")
-    return data
-
-
-def _check_keys(cfg: dict, allowed, where: str) -> None:
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys: {', '.join(unknown)}")
-
-
 def _reg_opts(overrides: dict) -> RegistrationOpts:
     allowed = {f.name for f in dataclass_fields(RegistrationOpts)}
-    _check_keys(overrides, allowed, "registration options")
+    check_keys(overrides, allowed, "registration options")
     try:
         return RegistrationOpts(**overrides)
     except (TypeError, ValueError) as exc:
@@ -167,25 +145,14 @@ def _write_manifest(out: Path, command: str, config: dict, inputs, outputs) -> N
     (out / "manifest.json").write_text(text + "\n")
 
 
-def _write_rows_csv(path, header, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-
-
 def _ids(n: int) -> list:
     return [f"s{i:03d}" for i in range(n)]
 
 
 def _radial_direction(grid, seed: int, degree: int) -> np.ndarray:
     """Unit flattened direction field: seeded harmonic bumps along the radius."""
-    th, ph = np.meshgrid(grid.theta, grid.phi)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    bump = np.zeros_like(th)
-    for l, m in harmonic_orders(max(degree, 1)):
-        bump += rng.standard_normal() * real_harmonic(l, m, th, ph)
+    bump = radial_bump(grid, degree, rng)
     v = (bump[..., None] * grid.nodes()).reshape(-1)
     nn = float(np.linalg.norm(v))
     if nn <= 0:
@@ -259,7 +226,7 @@ def _table(matrix, header):
 
 def _rows(header, rows):
     """Writer of mixed-type rows with a header row (see `_run`)."""
-    return partial(_write_rows_csv, header=header, rows=rows)
+    return partial(write_csv, header=header, rows=rows)
 
 
 def cmd_simulate(args, cfg):
@@ -433,39 +400,22 @@ def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
     match the covariate file and the row count must agree.  Every score
     must be a finite number.
     """
-    p = Path(path)
-    with p.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InputError(f"{p}: empty score table")
-    header, body = rows[0], rows[1:]
-    if not body:
-        raise InputError(f"{p}: no score rows")
-    first = 1 if header and header[0].strip().lower() == "id" else 0
-    try:
-        table = np.array([[float(x) for x in r[first:]] for r in body])
-    except ValueError as exc:
-        raise InputError(f"{p}: non-numeric score value ({exc})") from exc
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        i, j = bad[0] + (0, first)
-        name = header[j] if j < len(header) else f"column {j + 1}"
-        raise InputError(
-            f"{p}: line {i + 2}, field '{name}': not finite ({body[i][j]!r})"
-        )
+    table = read_csv(path)
+    first = 1 if table.header[0].strip().lower() == "id" else 0
+    if len(table.header) == first:
+        raise InputError(f"{table.path}: no score columns")
+    mat = np.column_stack(numeric_columns(table, range(first, len(table.header))))
     if first:
-        row_of = {r[0]: i for i, r in enumerate(body)}
+        row_of = {s: i for i, s in enumerate(id_column(table, 0))}
         missing = [s for s in cov.ids if s not in row_of]
         if missing:
             raise InputError(
-                f"{p}: missing scores for subjects: {', '.join(missing[:5])}"
+                f"{table.path}: missing scores for subjects: {', '.join(missing[:5])}"
             )
-        mat = table[[row_of[s] for s in cov.ids]]
-    else:
-        mat = table
+        mat = mat[[row_of[s] for s in cov.ids]]
     if mat.shape[0] != cov.n_subjects:
         raise InputError(
-            f"{p}: {mat.shape[0]} rows for {cov.n_subjects} subjects"
+            f"{table.path}: {mat.shape[0]} rows for {cov.n_subjects} subjects"
         )
     return mat
 
@@ -668,8 +618,9 @@ def _resolve(cmd: _Command, args) -> dict:
         raise ConfigError("--seed must be nonnegative")
     if "config" not in cmd.flags:
         return {}
-    cfg = {**cmd.defaults, **_load_config(args.config)}
-    _check_keys(cfg, cmd.defaults, f"{args.command} config")
+    loaded = {} if args.config is None else load_json_object(args.config)
+    cfg = {**cmd.defaults, **loaded}
+    check_keys(cfg, cmd.defaults, f"{args.command} config")
     if "seed" in cmd.flags:
         seed = _pick(args.seed, cfg.get("seed"))
         cfg["seed"] = None if seed is None else int(seed)

@@ -1,20 +1,36 @@
-"""File formats: surface JSON/binary, OBJ export, PCA model files, CSV.
+"""File formats: surface JSON/binary, OBJ export, PCA model files, CSV
+tables and JSON configs.
 
 Surface files store raw grid samples (no triangulation); a triangulation
 exists only in the OBJ export.  The binary variants use a 16-byte
 magic+dims header followed by little-endian float64 payloads, and all
-round trips are bit exact.
+round trips are bit exact.  A grid below 8x8, or a header field that is
+missing, non-integer or negative, raises `ParseError`.
+
+A table is CSV: a header row, then one record per LF-ended line, fields
+quoted only where needed (a term such as ``ps(shape,1)`` holds a comma),
+floats as ``%.17g`` and other values as ``str``.  The reader also takes
+CRLF.  It raises `ParseError` naming the file and line for an empty
+file, no data rows, a row whose field count differs from the header's,
+a repeated id, and a required number that is ``not numeric`` or ``not
+finite`` (``line N, field 'X': not finite ('nan')``).
+
+A JSON config is one object with known keys; a missing file, invalid
+JSON, another top-level value or an unknown key raises `ConfigError`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .grids import Surface, make_grid
 from .shape_stats import ShapeModel
 
@@ -22,45 +38,88 @@ SURFACE_MAGIC = b"ESHSURF1"
 MODEL_MAGIC = b"ESHMODL1"
 
 __all__ = [
+    "CsvTable",
     "load_surface",
     "save_surface",
     "export_obj",
     "save_model",
     "load_model",
+    "load_json_object",
+    "check_keys",
+    "write_csv",
     "write_matrix_csv",
+    "read_csv",
+    "numeric_columns",
+    "id_column",
     "read_matrix_csv",
 ]
 
 
-def _surface_from_fields(n_u, n_v, flat: np.ndarray, origin: str) -> Surface:
+def _json_object(data, origin, error) -> dict:
+    """The top-level object of a JSON text; `error` if there is none."""
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{origin}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{origin}: top level must be a JSON object")
+    return doc
+
+
+def load_json_object(path) -> dict:
+    """The top-level object of a JSON config file."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    return _json_object(text, path, ConfigError)
+
+
+def check_keys(doc: dict, allowed, where) -> None:
+    """ConfigError naming the keys of a config object not in `allowed`."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys: {', '.join(unknown)}")
+
+
+def _int_fields(doc: dict, keys, origin) -> list:
+    """The named header fields, each a required nonnegative integer."""
+    values = []
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{origin}: missing required field '{key}'")
+        value = doc[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ParseError(f"{origin}: field '{key}' must be a nonnegative integer")
+        values.append(value)
+    return values
+
+
+def _surface_from_fields(n_u, n_v, flat: np.ndarray, origin) -> Surface:
     expected = 3 * n_u * n_v
     if flat.size != expected:
         raise ParseError(
             f"{origin}: field 'points' has {flat.size} values, "
             f"expected 3*n_u*n_v = {expected}"
         )
-    grid = make_grid(n_u, n_v)
+    try:
+        grid = make_grid(n_u, n_v)
+    except ValueError as exc:
+        raise ParseError(f"{origin}: {exc}") from exc
     return Surface(grid=grid, points=flat.reshape(n_v, n_u, 3))
 
 
-def _load_surface_json(path: Path) -> Surface:
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    for key in ("n_u", "n_v", "points"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing required field '{key}'")
-    for key in ("n_u", "n_v"):
-        if not isinstance(doc[key], int):
-            raise ParseError(f"{path}: field '{key}' must be an integer")
+def _load_surface_json(path: Path, raw: bytes) -> Surface:
+    doc = _json_object(raw, path, ParseError)
+    n_u, n_v = _int_fields(doc, ("n_u", "n_v"), path)
+    if "points" not in doc:
+        raise ParseError(f"{path}: missing required field 'points'")
     try:
         flat = np.asarray(doc["points"], dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: field 'points' is not a flat numeric array") from exc
-    return _surface_from_fields(doc["n_u"], doc["n_v"], flat, str(path))
+    return _surface_from_fields(n_u, n_v, flat, path)
 
 
 def _load_surface_binary(path: Path, raw: bytes) -> Surface:
@@ -74,7 +133,7 @@ def _load_surface_binary(path: Path, raw: bytes) -> Surface:
             f"expected {expected - 16} for field 'points'"
         )
     flat = np.frombuffer(raw[16:], dtype="<f8").astype(float)
-    return _surface_from_fields(n_u, n_v, flat, str(path))
+    return _surface_from_fields(n_u, n_v, flat, path)
 
 
 def load_surface(path) -> Surface:
@@ -83,7 +142,7 @@ def load_surface(path) -> Surface:
     raw = path.read_bytes()
     if raw[:8] == SURFACE_MAGIC:
         return _load_surface_binary(path, raw)
-    return _load_surface_json(path)
+    return _load_surface_json(path, raw)
 
 
 def save_surface(f: Surface, path, binary: bool | None = None) -> None:
@@ -157,55 +216,121 @@ def load_model(path) -> ShapeModel:
     raw = path.read_bytes()
     if raw[:8] != MODEL_MAGIC:
         raise ParseError(f"{path}: not a shape model file (bad magic)")
+    if len(raw) < 12:
+        raise ParseError(f"{path}: truncated header")
     (header_len,) = struct.unpack("<I", raw[8:12])
-    try:
-        head = json.loads(raw[12 : 12 + header_len].decode())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: malformed model header") from exc
-    for key in ("n_u", "n_v", "n_train", "n_directions"):
-        if key not in head:
-            raise ParseError(f"{path}: model header missing field '{key}'")
-    n_u, n_v = head["n_u"], head["n_v"]
-    n_dirs = head["n_directions"]
+    head = _json_object(raw[12 : 12 + header_len], f"{path}: model header", ParseError)
+    n_u, n_v, n_train, n_dirs = _int_fields(
+        head, ("n_u", "n_v", "n_train", "n_directions"), path
+    )
     flat_len = 3 * n_u * n_v
     need = 12 + header_len + 8 * (flat_len + n_dirs + n_dirs * flat_len)
     if len(raw) != need:
         raise ParseError(f"{path}: model payload size mismatch")
     body = np.frombuffer(raw[12 + header_len :], dtype="<f8").astype(float)
-    mean_flat = body[:flat_len]
+    mean = _surface_from_fields(n_u, n_v, body[:flat_len], path)
     singulars = body[flat_len : flat_len + n_dirs]
     directions = body[flat_len + n_dirs :].reshape(n_dirs, flat_len)
-    grid = make_grid(n_u, n_v)
-    mean = Surface(grid=grid, points=mean_flat.reshape(n_v, n_u, 3))
     return ShapeModel(
-        mean=mean, directions=directions, singulars=singulars, n_train=head["n_train"]
+        mean=mean, directions=directions, singulars=singulars, n_train=n_train
     )
 
 
+def _cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a table: the header row, then one record per row.  A row
+    whose length differs from the header's raises ValueError before
+    anything is written."""
+    records = [[_cell(x) for x in row] for row in rows]
+    for i, record in enumerate(records, start=1):
+        if len(record) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(record)} fields for {len(header)} columns")
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(records)
+
+
 def write_matrix_csv(path, matrix: np.ndarray, header: list) -> None:
-    """Plain CSV with a header row; full float precision."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.shape[1] != len(header):
-        raise ValueError("header length does not match column count")
-    rows = [",".join(header)]
-    for row in matrix:
-        rows.append(",".join(f"{x:.17g}" for x in row))
-    Path(path).write_text("\n".join(rows) + "\n")
+    """A numeric matrix as a table with the given header row."""
+    write_csv(path, header, np.atleast_2d(np.asarray(matrix, dtype=float)).tolist())
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    """A table as read: its header, and its data rows as lists of strings;
+    data row i is line i + 2 of the file."""
+
+    path: Path
+    header: list
+    rows: list
+
+
+def read_csv(path) -> CsvTable:
+    """Read a table and check its shape (errors: see the module docstring)."""
+    path = Path(path)
+    try:
+        with path.open(newline="") as fh:
+            records = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: not a readable CSV table ({exc})") from exc
+    if not records:
+        raise ParseError(f"{path}: empty CSV")
+    header, rows = records[0], records[1:]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {line} has {len(row)} fields, expected {len(header)}"
+            )
+    return CsvTable(path=path, header=header, rows=rows)
+
+
+def numeric_columns(table: CsvTable, index) -> list:
+    """The columns at the given positions as contiguous float arrays;
+    ParseError names the first cell, in file order, that is not a finite
+    number."""
+    cells = list(zip(*table.rows))
+    try:
+        columns = [np.array(list(map(float, cells[j]))) for j in index]
+        if all(np.isfinite(c).all() for c in columns):
+            return columns
+    except ValueError:
+        pass
+    for line, row in enumerate(table.rows, start=2):
+        for j in index:
+            try:
+                problem = None if math.isfinite(float(row[j])) else "not finite"
+            except ValueError:
+                problem = "not numeric"
+            if problem:
+                raise ParseError(
+                    f"{table.path}: line {line}, field '{table.header[j]}': "
+                    f"{problem} ({row[j]!r})"
+                )
+
+
+def id_column(table: CsvTable, j: int) -> list:
+    """The ids in column j; ParseError names a repeated id and both of its
+    lines."""
+    line_of = {}
+    for line, row in enumerate(table.rows, start=2):
+        if row[j] in line_of:
+            raise ParseError(
+                f"{table.path}: repeated {table.header[j]} '{row[j]}' on lines "
+                f"{line_of[row[j]]} and {line}"
+            )
+        line_of[row[j]] = line
+    return list(line_of)
 
 
 def read_matrix_csv(path) -> tuple[list, np.ndarray]:
-    """Read back a header + numeric matrix CSV."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    data = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"{path}: line {ln} has {len(parts)} fields, expected {len(header)}")
-        try:
-            data.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {ln} has a non-numeric field") from exc
-    return header, np.asarray(data, dtype=float)
+    """Read back a header + numeric matrix table."""
+    table = read_csv(path)
+    return table.header, np.column_stack(numeric_columns(table, range(len(table.header))))

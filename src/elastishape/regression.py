@@ -17,16 +17,14 @@ not pay for its import.
 
 from __future__ import annotations
 
-import csv
 import logging
-import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, ParseError, RankDeficiencyError
+from .fileio import id_column, numeric_columns, read_csv, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -87,57 +85,25 @@ class CovariateTable:
         ranges are enforced when strict; otherwise violations are logged
         and kept.  Labels must be 0 or 1 either way.
         """
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ParseError(f"{path}: empty covariate file")
-            missing = [c for c in COVARIATE_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise ParseError(
-                    f"{path}: missing required columns: {', '.join(missing)}"
-                )
-            rows = list(reader)
-        if not rows:
-            raise ParseError(f"{path}: no subject rows")
-        cols = {c: [] for c in COVARIATE_COLUMNS}
-        for ln, row in enumerate(rows, start=2):
-            for c in COVARIATE_COLUMNS:
-                value = row[c]
-                if c == "id":
-                    cols[c].append(value)
-                    continue
-                try:
-                    number = float(value)
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(
-                        f"{path}: line {ln}, field '{c}': not numeric ({value!r})"
-                    ) from exc
-                if not math.isfinite(number):
-                    raise ParseError(
-                        f"{path}: line {ln}, field '{c}': not finite ({value!r})"
-                    )
-                cols[c].append(number)
-        table = cls(
-            ids=cols["id"],
-            age=np.array(cols["age"]),
-            bdi=np.array(cols["bdi"]),
-            icv=np.array(cols["icv"]),
-            pss=np.array(cols["pss"]),
-            ctqtot=np.array(cols["ctqtot"]),
-            label=np.array(cols["label"]),
-        )
+        source = read_csv(path)
+        missing = [c for c in COVARIATE_COLUMNS if c not in source.header]
+        if missing:
+            raise ParseError(
+                f"{source.path}: missing required columns: {', '.join(missing)}"
+            )
+        index = [source.header.index(c) for c in COVARIATE_COLUMNS]
+        values = numeric_columns(source, index[1:])
+        table = cls(id_column(source, index[0]), **dict(zip(COVARIATE_COLUMNS[1:], values)))
         bad_label = ~np.isin(table.label, (0.0, 1.0))
         if bad_label.any():
-            raise InputError(
-                f"{path}: label must be 0 or 1 (row {int(np.argmax(bad_label)) + 2})"
-            )
+            line = int(np.argmax(bad_label)) + 2
+            raise InputError(f"{source.path}: line {line}, field 'label': must be 0 or 1")
         for name, (lo, hi) in _RANGES.items():
             vals = getattr(table, name)
             outside = (vals < lo) | (vals > hi)
             if outside.any():
                 msg = (
-                    f"{path}: column '{name}' outside declared range "
+                    f"{source.path}: column '{name}' outside declared range "
                     f"[{lo:g}, {hi:g}] in {int(outside.sum())} row(s)"
                 )
                 if strict:
@@ -146,21 +112,8 @@ class CovariateTable:
         return table
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(COVARIATE_COLUMNS)
-            for i in range(self.n_subjects):
-                writer.writerow(
-                    [
-                        self.ids[i],
-                        f"{self.age[i]:.17g}",
-                        f"{self.bdi[i]:.17g}",
-                        f"{self.icv[i]:.17g}",
-                        f"{self.pss[i]:.17g}",
-                        f"{self.ctqtot[i]:.17g}",
-                        int(self.label[i]),
-                    ]
-                )
+        columns = (self.age, self.bdi, self.icv, self.pss, self.ctqtot)
+        write_csv(path, COVARIATE_COLUMNS, zip(self.ids, *columns, self.label.astype(int)))
 
 
 def term_parts(term: str):

@@ -7,13 +7,12 @@ cohort never reshuffles the subjects already generated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, asdict
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import check_keys, load_json_object
 from .grids import Surface, SphericalGrid, make_grid
 from .regression import RESPONSES, CovariateTable, ModelSpec, design_matrix
 from .shape_stats import ShapeModel
@@ -30,6 +29,7 @@ __all__ = [
     "gen_surface",
     "gen_pca_cohort",
     "gen_regression_cohort",
+    "radial_bump",
 ]
 
 
@@ -100,17 +100,8 @@ class CohortSpec:
     @classmethod
     def from_json(cls, path) -> "CohortSpec":
         """Load a spec from a JSON file; unknown keys are rejected."""
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
+        data = load_json_object(path)
+        check_keys(data, {f.name for f in fields(cls)}, path)
         data = {
             k: tuple(v) if isinstance(v, list) else v for k, v in data.items()
         }
@@ -151,6 +142,21 @@ class RegressionCohort:
     truth: TrueModel
 
 
+def radial_bump(grid: SphericalGrid, degree: int, rng=None) -> np.ndarray:
+    """Sum of the real harmonics of degrees 1..max(degree, 1) on the grid
+    nodes, (n_v, n_u).
+
+    With an rng each harmonic is weighted by one standard normal draw,
+    taken in `harmonic_orders` order; without one the sum is unweighted.
+    """
+    th, ph = np.meshgrid(grid.theta, grid.phi)
+    bump = np.zeros_like(th)
+    for l, m in harmonic_orders(max(degree, 1)):
+        c = 1.0 if rng is None else rng.standard_normal()
+        bump += c * real_harmonic(l, m, th, ph)
+    return bump
+
+
 def gen_surface(
     family: str,
     grid: SphericalGrid,
@@ -182,14 +188,8 @@ def gen_surface(
     if family == "bumpy-sphere":
         if amplitude < 0:
             raise ConfigError("bump amplitude must be nonnegative")
-        th, ph = np.meshgrid(grid.theta, grid.phi)
-        orders = harmonic_orders(max(degree, 1))
         rng = None if seed is None else np.random.default_rng(seed)
-        bump = np.zeros_like(th)
-        for l, m in orders:
-            c = 1.0 if rng is None else rng.standard_normal()
-            bump += c * real_harmonic(l, m, th, ph)
-        r = 1.0 + amplitude * bump
+        r = 1.0 + amplitude * radial_bump(grid, degree, rng)
         if np.any(r <= 0):
             raise ConfigError(
                 f"bump amplitude {amplitude} makes the radius nonpositive"

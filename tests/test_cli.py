@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from elastishape.cli import _shape_line_cohort, main
 from elastishape.errors import ConfigError
-from elastishape.fileio import load_model, load_surface, save_surface
+from elastishape.fileio import MODEL_MAGIC, load_model, load_surface, read_csv, save_surface
 from elastishape.grids import make_grid
 from elastishape.registration import RegistrationOpts, rotate_surface
 from elastishape.synthetic import CohortSpec, gen_regression_cohort, gen_surface
@@ -416,6 +417,68 @@ def test_regress_rejects_non_finite_inputs(
     assert not out.exists()
 
 
+def _short_row(rows):
+    rows[4].pop()
+
+
+def _long_row(rows):
+    rows[4].append("1")
+
+
+def _text_cell(rows):
+    rows[4][2] = "abc"
+
+
+def _repeated_id(rows):
+    rows[7][0] = rows[2][0]
+
+
+@pytest.mark.parametrize(
+    "table, edit, message",
+    [
+        ("scores.csv", _short_row, "line 6 has 3 fields, expected 4"),
+        ("scores.csv", _long_row, "line 6 has 5 fields, expected 4"),
+        ("scores.csv", _text_cell, "line 6, field 'z2': not numeric ('abc')"),
+        ("scores.csv", _repeated_id, "repeated id 's002' on lines 4 and 9"),
+        ("cov.csv", _long_row, "line 6 has 8 fields, expected 7"),
+        ("cov.csv", _repeated_id, "repeated id 's002' on lines 4 and 9"),
+    ],
+)
+def test_regress_rejects_malformed_tables(
+    regress_inputs, tmp_path, capsys, table, edit, message
+):
+    paths = {"cov.csv": regress_inputs / "cov.csv",
+             "scores.csv": regress_inputs / "scores.csv"}
+    header, rows = _read_csv(paths[table])
+    edit(rows)
+    paths[table] = tmp_path / table
+    with paths[table].open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    out = tmp_path / "o"
+    code = main(["regress", "--covariates", str(paths["cov.csv"]),
+                 "--scores", f"shape={paths['scores.csv']}", "--out", str(out)])
+    assert code == 3
+    assert f"{paths[table]}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "head",
+    [{"n_u": "8", "n_v": 8, "n_train": 4, "n_directions": 1},
+     {"n_u": 4, "n_v": 4, "n_train": 4, "n_directions": 1}],
+)
+def test_scores_with_a_malformed_model_exits_3(workspace, tmp_path, capsys, head):
+    header = json.dumps(head).encode()
+    model = tmp_path / "bad.eshm"
+    model.write_bytes(MODEL_MAGIC + struct.pack("<I", len(header)) + header)
+    code = main(["scores", "--model", str(model), str(workspace / "member_0.surf"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert str(model) in capsys.readouterr().err
+
+
 def test_simulate_small_run(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -581,3 +644,12 @@ def test_seeded_simulate_runs_are_byte_identical(runs):
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_csv_outputs_end_lines_in_lf_and_read_back(runs):
+    for name in ("simulate", "compare", "regress", "scores"):
+        for path in sorted(runs[name][0].glob("*.csv")):
+            assert b"\r" not in path.read_bytes(), path
+            read_csv(path)
+    terms = read_csv(runs["regress"][0] / "selected_terms.csv")
+    assert "ps(shape,1)" in [row[terms.header.index("term")] for row in terms.rows]

@@ -1,15 +1,27 @@
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elastishape.errors import ParseError
+import elastishape
+from elastishape.errors import ConfigError, ParseError
 from elastishape.fileio import (
+    MODEL_MAGIC,
+    SURFACE_MAGIC,
     export_obj,
+    id_column,
+    load_json_object,
     load_model,
     load_surface,
+    numeric_columns,
+    read_csv,
     read_matrix_csv,
     save_model,
     save_surface,
+    write_csv,
     write_matrix_csv,
 )
 from elastishape.grids import make_grid
@@ -118,3 +130,135 @@ def test_matrix_csv_round_trip(tmp_path):
     header, back = read_matrix_csv(path)
     assert header == ["a", "b", "c", "d"]
     assert_allclose(back, mat, atol=1e-15)
+
+
+def _model_file(path, head, payload_values=0):
+    header = json.dumps(head).encode()
+    payload = np.zeros(payload_values).astype("<f8").tobytes()
+    path.write_bytes(MODEL_MAGIC + struct.pack("<I", len(header)) + header + payload)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("n_u", "8", "n_u"), ("n_directions", -1, "n_directions"),
+     ("n_train", -2, "n_train"), ("n_v", 2.5, "n_v")],
+)
+def test_model_header_fields_must_be_nonnegative_integers(tmp_path, field, value, message):
+    head = {"n_u": 8, "n_v": 8, "n_train": 3, "n_directions": 0, field: value}
+    path = tmp_path / "m.eshm"
+    _model_file(path, head, 3 * 64)
+    with pytest.raises(ParseError, match=message):
+        load_model(path)
+
+
+def test_model_header_must_be_an_object(tmp_path):
+    path = tmp_path / "m.eshm"
+    _model_file(path, [8, 8])
+    with pytest.raises(ParseError, match="object"):
+        load_model(path)
+    path.write_bytes(MODEL_MAGIC + b"\x01")
+    with pytest.raises(ParseError, match="truncated"):
+        load_model(path)
+
+
+def test_undersized_grids_are_parse_errors(tmp_path):
+    model = tmp_path / "m.eshm"
+    _model_file(model, {"n_u": 4, "n_v": 4, "n_train": 1, "n_directions": 0}, 3 * 16)
+    with pytest.raises(ParseError, match="below minimum"):
+        load_model(model)
+    surf = tmp_path / "f.json"
+    surf.write_text(json.dumps({"n_u": 4, "n_v": 8, "points": [0.0] * 96}))
+    with pytest.raises(ParseError, match="below minimum"):
+        load_surface(surf)
+    binary = tmp_path / "f.surf"
+    binary.write_bytes(SURFACE_MAGIC + struct.pack("<II", 8, 4) + bytes(8 * 96))
+    with pytest.raises(ParseError, match="below minimum"):
+        load_surface(binary)
+
+
+def test_json_object_loader(tmp_path):
+    path = tmp_path / "cfg.json"
+    with pytest.raises(ConfigError, match="not found"):
+        load_json_object(path)
+    path.write_text("{not json")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_json_object(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="object"):
+        load_json_object(path)
+    path.write_text('{"a": [1, 2]}')
+    assert load_json_object(path) == {"a": [1, 2]}
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [["ps(shape,1)", 0.1, np.float32(0.5), np.float64(1 / 3), 7, "+"]]
+    write_csv(path, ["term", "a", "b", "c", "n", "sign"], rows)
+    assert path.read_bytes() == (
+        b"term,a,b,c,n,sign\n"
+        b'"ps(shape,1)",0.10000000000000001,0.5,0.33333333333333331,7,+\n'
+    )
+    table = read_csv(path)
+    assert table.rows == [["ps(shape,1)", "0.10000000000000001", "0.5",
+                           "0.33333333333333331", "7", "+"]]
+    assert float(table.rows[0][3]) == 1 / 3
+
+
+def test_write_csv_rejects_a_ragged_row_before_writing(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="row 2"):
+        write_csv(path, ["a", "b"], [[1, 2], [3]])
+    assert not path.exists()
+
+
+def test_read_csv_takes_crlf(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"id,x\r\ns0,1.5\r\ns1,2\r\n")
+    table = read_csv(path)
+    assert table.header == ["id", "x"]
+    assert table.rows == [["s0", "1.5"], ["s1", "2"]]
+    assert id_column(table, 0) == ["s0", "s1"]
+    (x,) = numeric_columns(table, [1])
+    assert x.tolist() == [1.5, 2.0] and x.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty CSV"),
+     ("a,b\n", "no data rows"),
+     ("a,b\n1,2\n3\n", "line 3 has 1 fields, expected 2"),
+     ("a,b\n1,2,3\n", "line 2 has 3 fields, expected 2")],
+)
+def test_read_csv_shape_errors(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        read_csv(path)
+    assert str(path) in str(exc.value)
+
+
+def test_numeric_columns_name_the_first_bad_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,x,y\ns0,1,2\ns1,3,inf\ns2,abc,4\n")
+    table = read_csv(path)
+    with pytest.raises(ParseError, match="line 3, field 'y': not finite \\('inf'\\)"):
+        numeric_columns(table, [1, 2])
+    with pytest.raises(ParseError, match="line 4, field 'x': not numeric \\('abc'\\)"):
+        numeric_columns(table, [1])
+
+
+def test_id_column_names_a_repeated_id_and_both_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,x\ns0,1\ns1,2\ns0,3\n")
+    with pytest.raises(ParseError, match="repeated id 's0' on lines 2 and 4"):
+        id_column(read_csv(path), 0)
+
+
+def test_csv_and_json_parsing_live_only_in_fileio():
+    package = Path(elastishape.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        if source.name == "fileio.py":
+            continue
+        text = source.read_text()
+        assert "import csv" not in text, source.name
+        assert "json.loads" not in text, source.name

@@ -103,6 +103,11 @@ def test_cohort_spec_json_round_trip(tmp_path):
         CohortSpec.from_json(path)
 
 
+def test_cohort_spec_from_a_missing_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="not found"):
+        CohortSpec.from_json(tmp_path / "absent.json")
+
+
 def test_regression_cohort_truth_is_consistent():
     spec = CohortSpec(n_subjects=20, n_u=16, n_v=16, noise_sigma=0.0, seed=8)
     cohort = gen_regression_cohort(spec)
