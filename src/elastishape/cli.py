@@ -685,9 +685,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         name = exc.filename if exc.filename else str(exc)
-        print(f"error: missing input file: {name}", file=sys.stderr)
+        if isinstance(exc, IsADirectoryError):
+            print(f"error: input path is a directory: {name}", file=sys.stderr)
+        else:
+            print(f"error: missing input file: {name}", file=sys.stderr)
         return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,6 +73,8 @@ def load_json_object(path) -> dict:
         text = path.read_text()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except IsADirectoryError as exc:
+        raise ConfigError(f"config path is a directory: {path}") from exc
     return _json_object(text, path, ConfigError)
 
 

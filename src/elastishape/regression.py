@@ -5,25 +5,37 @@ age, depression score, intracranial volume, per-structure principal
 scores, and covariate-by-score interactions.  Selection is bidirectional
 stepwise search from a forced baseline, scored by information criterion.
 Each stepwise call builds its full design once.  Each step of the search
-factors the current model's columns once and scores every add and drop
-move from that factorization by the textbook residual-sum-of-squares
-updates; a move that would make the design rank deficient or
-underdetermined is skipped and counted.  Full inference (`ols_fit`: rank,
-coefficients and standard errors from one pivoted QR, t-based p-values)
-runs only for the baseline and for the selected model.  scipy is imported
-inside the functions that use it, so commands that never fit a model do
-not pay for its import.
+factors the current model's columns once (`np.linalg.qr`) and scores every
+add and drop move from that factorization by the textbook
+residual-sum-of-squares updates; a move that would make the design rank
+deficient or underdetermined is skipped and counted.  Full inference
+(`ols_fit`) runs only for the baseline and for the selected model.
+
+The linear algebra and the t distribution are numpy and the standard
+library only, so a `regress` process never imports scipy:
+
+- `ols_fit` factors its design by Householder QR with column pivoting
+  (Golub & Van Loan, *Matrix Computations*, 4th ed., Algorithm 5.4.1),
+  choosing the largest remaining column norm, first index on ties, as
+  LAPACK's dgeqp3 does;
+- triangular systems R x = b go through `np.linalg.solve`: the LU of an
+  upper-triangular R with a nonzero diagonal swaps no rows, so that is
+  back-substitution;
+- `t_tail_p` evaluates the regularized incomplete beta function by its
+  continued fraction (Numerical Recipes, 3rd ed., Section 6.4, modified
+  Lentz).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParseError, RankDeficiencyError
+from .errors import InputError, NumericalError, ParseError, RankDeficiencyError
 from .fileio import id_column, numeric_columns, read_csv, write_csv
 
 logger = logging.getLogger(__name__)
@@ -204,18 +216,97 @@ def design_matrix(
     return np.column_stack(columns), list(spec.terms)
 
 
+# Stirling-series coefficients B_2k / (2k (2k - 1)) of ln Gamma(z) - ln of
+# Stirling's formula, k = 1..5; from z = 16 the next term is below 1.1e-16.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+# Stands in for a zero denominator in `t_tail_p`'s continued fraction
+# (Numerical Recipes' FPMIN).
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 500
+_EPS = float(np.finfo(float).eps)
+
+
+def _stirling_tail(z: float) -> float:
+    w = 1.0 / (z * z)
+    return sum(c * w**k for k, c in enumerate(_STIRLING)) / z
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a) for a > 0.
+
+    From a = 16 on, Stirling's formula for both terms leaves
+    a log1p(1 / 2a) + ln(a) / 2 - 1/2 plus the difference of the two
+    series tails, so the two large log-gammas never cancel.
+    """
+    if a < 16.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    return (a * math.log1p(0.5 / a) + 0.5 * math.log(a) - 0.5
+            + _stirling_tail(a + 0.5) - _stirling_tail(a))
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) = x^a (1-x)^b / (B(a, b) a) * cf.
+
+    Numerical Recipes (3rd ed., Section 6.4) `betacf`, by the modified
+    Lentz method.  It converges fast for x < (a + 1) / (a + b + 2).
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
+    h = d
+    # The fraction stops at the first term that changes it by at most one
+    # rounding: after at most 74 terms for 50000 values of |t| from 1e-12 to
+    # 1e12, at each of 19 df from 1 to 1e14.  The bound only guards against
+    # a fraction that does not settle.
+    for m in range(1, _CF_MAX_TERMS + 1):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) >= _CF_TINY else _CF_TINY
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= _EPS:
+            return h
+    raise NumericalError(f"incomplete beta fraction did not converge at a={a}, x={x}")
+
+
 def t_tail_p(t: np.ndarray, df: int) -> np.ndarray:
     """Two-sided tail probability of Student's t via the incomplete beta.
 
-    The regularized incomplete beta function comes from
-    `scipy.special.betainc`, giving
-    P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2).
+    P(|T| > |t|) = I_x(df / 2, 1/2) with x = df / (df + t^2) and
+    1 - x = t^2 / (df + t^2), both formed directly.  The regularized
+    incomplete beta comes from its continued fraction (`_beta_fraction`);
+    where x >= (a + 1) / (a + b + 2) the symmetry
+    I_x(a, b) = 1 - I_{1-x}(b, a) is used instead, so that the fraction
+    converges in O(sqrt(max(a, b))) terms.  ln B(df / 2, 1/2) comes from
+    `_log_gamma_half_ratio`.  t = 0 gives 1 and an infinite |t| gives 0
+    without evaluating the fraction.
     """
-    from scipy.special import betainc
-
     t = np.asarray(t, dtype=float)
-    x = df / (df + t * t)
-    return betainc(df / 2.0, 0.5, x)
+    if df < 1:
+        raise ValueError(f"t_tail_p needs df >= 1, got {df}")
+    a = df / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt = t * t
+        x = df / (df + tt)
+        y = tt / (df + tt)
+    # y underflows to 0 only for |t| < 1e-150, where p rounds to 1; x is 0
+    # for an infinite or overflowing t^2, where p is 0 or underflows.
+    p = np.where(y == 0.0, 1.0, np.where(x == 0.0, 0.0, np.nan))
+    inner = (x > 0.0) & (y > 0.0)
+    x, y = x[inner], y[inner]
+    ln_beta = 0.5 * math.log(math.pi) - _log_gamma_half_ratio(a)
+    # ln x as -log1p(t^2 / df): log(x) would lose digits where x is near 1.
+    front = np.exp(-a * np.log1p(tt[inner] / df) + 0.5 * np.log(y) - ln_beta)
+    switch = (a + 1.0) / (a + 2.5)
+    p[inner] = [
+        1.0 - f * _beta_fraction(0.5, a, yi) / 0.5 if xi >= switch
+        else f * _beta_fraction(a, 0.5, xi) / a
+        for f, xi, yi in zip(front.tolist(), x.tolist(), y.tolist())
+    ]
+    return p
 
 
 @dataclass
@@ -235,17 +326,47 @@ class RegressionFit:
         return self.terms.index(term)
 
 
+def _qr_pivoted(x: np.ndarray, y: np.ndarray):
+    """Householder QR with column pivoting of x, with Q^T applied to y.
+
+    Golub & Van Loan, Algorithm 5.4.1: step j moves the column of largest
+    remaining norm (the first on ties, as LAPACK's dgeqp3) into place j and
+    reflects x[j:, j] onto the axis.  y rides along as an extra column that
+    is never pivoted.  Returns (R, pivot, Q^T y) with x[:, pivot] = Q R, R
+    upper triangular p x p, and the first p entries of Q^T y.  When the
+    remaining columns are all zero, their rows of R stay zero.
+    """
+    n, p = x.shape
+    work = np.column_stack([x, y])
+    pivot = np.arange(p)
+    for j in range(min(n, p)):
+        rest = work[j:, j:p]
+        norms = np.einsum("ij,ij->j", rest, rest)
+        k = j + int(np.argmax(norms))
+        if norms[k - j] == 0.0:
+            break
+        work[:, [j, k]] = work[:, [k, j]]
+        pivot[[j, k]] = pivot[[k, j]]
+        v = work[j:, j].copy()
+        alpha = -math.copysign(math.sqrt(norms[k - j]), v[0])
+        v[0] -= alpha
+        tail = work[j:, j + 1:]
+        tail -= np.outer(v, (2.0 / (v @ v)) * (v @ tail))
+        work[j, j] = alpha
+    return np.triu(work[:p, :p]), pivot, work[:p, p]
+
+
 def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> RegressionFit:
     """Ordinary least squares with t-based inference.
 
-    One pivoted QR factorization X P = Q R gives everything: the rank
-    (a deficient design raises RankDeficiencyError naming the collinear
-    columns), the coefficients from R b = Q^T y, and the standard errors
-    from the row norms of R^-1, since (X^T X)^-1 = P R^-1 R^-T P^T.
-    X^T X is never formed, so its squared condition number never enters.
+    One pivoted QR factorization X P = Q R (`_qr_pivoted`) gives
+    everything: the rank (a deficient design raises RankDeficiencyError
+    naming the collinear columns), the coefficients from R b = Q^T y, and
+    the standard errors from the row norms of R^-1, since
+    (X^T X)^-1 = P R^-1 R^-T P^T.  X^T X is never formed, so its squared
+    condition number never enters.  The rank is the number of diagonal
+    entries of R above max(n, p) eps |R_11|.
     """
-    from scipy.linalg import qr, solve_triangular
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     n, p = x.shape
@@ -255,8 +376,10 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
         raise ValueError("row counts of X and y differ")
     if n < p + 1:
         raise ValueError(f"underdetermined system: {n} rows for {p} columns")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in X or y")
 
-    q_fac, r_fac, pivot = qr(x, mode="economic", pivoting=True)
+    r_fac, pivot, qty = _qr_pivoted(x, y)
     diag = np.abs(np.diag(r_fac))
     tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int((diag > tol).sum())
@@ -264,19 +387,19 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
         raise RankDeficiencyError([terms[j] for j in sorted(pivot[rank:])])
 
     coef = np.empty(p)
-    coef[pivot] = solve_triangular(r_fac, q_fac.T @ y)
+    coef[pivot] = np.linalg.solve(r_fac, qty)
     resid = y - x @ coef
     ssr = float(resid @ resid)
     sst = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ssr / max(sst, 1e-300)
     df_resid = n - p
     sigma2 = ssr / df_resid
-    r_inv = solve_triangular(r_fac, np.eye(p))
+    r_inv = np.linalg.solve(r_fac, np.eye(p))
     se = np.empty(p)
     se[pivot] = np.sqrt(sigma2 * (r_inv**2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(se > 0, coef / se, np.inf * np.sign(coef))
-    pvals = t_tail_p(np.where(np.isfinite(tstat), tstat, 1e300), df_resid)
+    pvals = t_tail_p(tstat, df_resid)
 
     p_excl = p - (1 if "intercept" in terms else 0)
     adj = 1.0 - (1.0 - r2) * (n - 1) / max(n - p_excl - 1, 1)
@@ -379,15 +502,11 @@ def stepwise_bidirectional(
     )
     trace = [(None, None, value)]
     skipped_rank = skipped_under = 0
-    # Imported once the baseline fit has loaded scipy.  numpy bundles a LAPACK
-    # of its own; factoring with that one instead raised a regress run's peak
-    # RSS by a further 0.7 MB.
-    from scipy.linalg import qr, solve_triangular
 
     while True:
         k = len(selected)
         sel = columns(selected)
-        q, r = qr(x_full[:, sel], mode="economic", check_finite=False)
+        q, r = np.linalg.qr(x_full[:, sel])
         qty = q.T @ y
         e = y - q @ qty
         rss = float(e @ e)
@@ -422,7 +541,7 @@ def stepwise_bidirectional(
                 if cand < value and (best is None or cand < best[0]):
                     best = (cand, "add", term)
 
-        r_inv = solve_triangular(r, np.eye(k), check_finite=False)
+        r_inv = np.linalg.solve(r, np.eye(k))
         b = r_inv @ qty
         rss_drop = rss + b * b / np.einsum("ij,ij->i", r_inv, r_inv)
         for j, term in enumerate(selected):

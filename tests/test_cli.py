@@ -348,6 +348,25 @@ def test_regress_score_argument_validation(regress_inputs, tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_directory_paths_exit_with_a_message(regress_inputs, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    scores = f"shape={regress_inputs / 'scores.csv'}"
+    runs = {
+        "covariates": (["regress", "--covariates", str(folder), "--scores", scores], 3),
+        "scores": (["regress", "--covariates", str(regress_inputs / "cov.csv"),
+                    "--scores", f"shape={folder}"], 3),
+        "regress config": (["regress", "--covariates", str(regress_inputs / "cov.csv"),
+                            "--scores", scores, "--config", str(folder)], 2),
+        "simulate config": (["simulate", "--config", str(folder)], 2),
+    }
+    for name, (args, code) in runs.items():
+        out = tmp_path / name.replace(" ", "-")
+        assert main([*args, "--out", str(out)]) == code, name
+        assert "is a directory" in capsys.readouterr().err, name
+        assert not out.exists(), name
+
+
 def test_regress_rank_deficiency_exits_4(regress_inputs, tmp_path, capsys):
     header, rows = _read_csv(regress_inputs / "cov.csv")
     age_idx = header.index("age")

@@ -1,15 +1,18 @@
-"""Commands on the registration path start without importing scipy.
+"""Every command but `compare` runs without importing scipy.
 
-scipy's first import costs a process about 0.3 s and 30 MB; only `regress`
-(QR, incomplete beta) and `compare` (the ICP k-d tree) need it, and they
-import it where they use it.  Each check runs in a fresh interpreter.
+scipy's first import costs a process about 0.2-0.3 s and 30 MB.  Only
+`compare` needs it, for the k-d tree of the ICP baseline, and imports it
+where it uses it.  Each check runs in a fresh interpreter.
 """
 
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from elastishape.synthetic import CohortSpec, gen_regression_cohort
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,3 +53,21 @@ def test_import_version_and_simulate_load_no_scipy(tmp_path):
         result = _run(args, tmp_path)
         assert result["code"] in (None, 0), name
         assert result["scipy"] == [], name
+
+
+def test_regress_loads_no_scipy(tmp_path):
+    cohort = gen_regression_cohort(
+        CohortSpec(n_subjects=30, n_u=8, n_v=8, noise_sigma=0.5, seed=3)
+    )
+    cohort.covariates.to_csv(tmp_path / "cov.csv")
+    z = cohort.truth.scores["shape"]
+    with (tmp_path / "scores.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"z{k}" for k in range(1, z.shape[1] + 1)])
+        writer.writerows([sid, *row] for sid, row in zip(cohort.covariates.ids, z))
+    result = _run(["regress", "--covariates", str(tmp_path / "cov.csv"),
+                   "--scores", f"shape={tmp_path / 'scores.csv'}",
+                   "--out", str(tmp_path / "reg")], tmp_path)
+    assert result["code"] == 0
+    assert (tmp_path / "reg" / "models.csv").exists()
+    assert result["scipy"] == []
