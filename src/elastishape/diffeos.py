@@ -1,12 +1,12 @@
 """Discrete orientation-preserving diffeomorphisms of the sphere.
 
 A diffeomorphism is stored as its image: one unit vector per grid node.
-Its Jacobian determinant is computed by finite differences of the
-spherical coordinates of the image, with the grid's own stencils.  One
-pass of those derivatives gives both determinants the package uses: the
-area-ratio one (identity map has determinant one everywhere), which the
-orientation checks read, and the coordinate one, which the SRNF action
-needs.
+Its Jacobian determinant is computed by central differences of the
+spherical coordinates of the image on rows 2 to n_v - 3 and extrapolated
+onto the two rows nearest each pole.  One pass of those derivatives
+gives both determinants the package uses: the area-ratio one (identity
+map has determinant one everywhere), which the orientation checks read,
+and the coordinate one, which the SRNF action needs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .errors import OrientationError
 from .grids import (
     SphericalGrid,
     Surface,
-    _d_du,
-    _d_dv,
     _periodic_diff,
     bilinear_sample,
     sphere_to_angles,
@@ -74,25 +72,6 @@ def _wrap_angle(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _azimuth_derivs(theta: np.ndarray, d_theta: float, d_phi: float):
-    """Wrapped finite differences of the azimuth map along both axes."""
-    du = _wrap_angle(_periodic_diff(theta))
-    du /= 2.0 * d_theta
-    dv = np.empty_like(theta)
-    mid = _wrap_angle(np.subtract(theta[2:], theta[:-2], out=dv[1:-1]))
-    mid /= 2.0 * d_phi
-    # One-sided stencils of the first and last rows, both rows at once:
-    # near holds theta[1] - theta[0] and theta[-1] - theta[-2], far holds
-    # theta[2] - theta[0] and theta[-1] - theta[-3].
-    n_v = theta.shape[0]
-    near = _wrap_angle(theta[1::n_v - 2] - theta[::n_v - 2])
-    far = _wrap_angle(theta[2::n_v - 3] - theta[::n_v - 3])
-    near *= 4.0
-    near -= far
-    np.divide(near, 2.0 * d_phi, out=dv[::n_v - 1])
-    return du, dv
-
-
 def _extrapolate_pole_rows(jac: np.ndarray) -> np.ndarray:
     """Replace the two rows nearest each pole by quadratic extrapolation.
 
@@ -125,19 +104,29 @@ def jacobian_from_angles(
     is the factor that makes the reparameterization action an isometry.
     area is the area-ratio convention, coord times sin(image polar) /
     sin(grid polar).
+
+    Rows 2 to n_v - 3 are central differences; rows 0, 1, n_v - 2 and
+    n_v - 1 are extrapolated from them.  So image rows 0 and n_v - 1
+    enter neither determinant, and a fold confined to them goes unseen.
     """
-    t_u, t_v = _azimuth_derivs(theta, grid.d_theta, grid.d_phi)
-    p_u, p_v = _d_du(phi, grid.d_theta), _d_dv(phi, grid.d_phi)
+    t_u = _wrap_angle(_periodic_diff(theta[2:-2]))
+    t_u /= 2.0 * grid.d_theta
+    t_v = _wrap_angle(theta[3:-1] - theta[1:-3])
+    t_v /= 2.0 * grid.d_phi
+    p_u = _periodic_diff(phi[2:-2])
+    p_u /= 2.0 * grid.d_theta
+    p_v = phi[3:-1] - phi[1:-3]
+    p_v /= 2.0 * grid.d_phi
     jac = np.empty((2,) + theta.shape)
-    area, det = jac
+    area, det = jac[:, 2:-2]
     np.multiply(t_u, p_v, out=det)
     t_v *= p_u
     det -= t_v
-    np.sin(phi, out=area)
-    area /= np.sin(grid.phi)[:, None]
+    np.sin(phi[2:-2], out=area)
+    area /= np.sin(grid.phi[2:-2])[:, None]
     area *= det
     _extrapolate_pole_rows(jac)
-    return area, det
+    return jac[0], jac[1]
 
 
 def jacobian_det_of_image(grid: SphericalGrid, image: np.ndarray) -> np.ndarray:

@@ -32,12 +32,16 @@ class OrientationError(NumericalError):
 
 
 class RankDeficiencyError(NumericalError):
-    """A design matrix is rank deficient."""
+    """A design matrix is rank deficient.
 
-    def __init__(self, columns, message=None):
+    columns names the columns a pivoted QR dropped; dependent_sets names,
+    in the same order, the whole set each one is dependent with.
+    """
+
+    def __init__(self, columns, dependent_sets=()):
         self.columns = list(columns)
-        if message is None:
-            message = "design matrix is rank deficient; offending columns: %s" % (
-                ", ".join(str(c) for c in self.columns)
-            )
-        super().__init__(message)
+        self.dependent_sets = [list(s) for s in dependent_sets]
+        sets = "".join("; dependent set {%s}" % ", ".join(map(str, s))
+                       for s in self.dependent_sets)
+        super().__init__("design matrix is rank deficient; offending columns: %s%s"
+                         % (", ".join(map(str, self.columns)), sets))

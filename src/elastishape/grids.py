@@ -206,11 +206,11 @@ def angles_to_sphere(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def sphere_to_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuth in [0, 2*pi) and polar angle in [0, pi] of unit vectors."""
+    """Azimuth in [0, 2*pi] and polar angle in [0, pi] of unit vectors."""
     theta = np.arctan2(points[..., 1], points[..., 0])
     # np.mod(theta, 2 pi) on the arctan2 range [-pi, pi], bit for bit:
-    # negative angles gain 2 pi, and the 0.0 added to the others turns
-    # -0.0 into +0.0 as np.mod does.
+    # negative angles gain 2 pi (a tiny one rounds to 2 pi itself), and
+    # the 0.0 added to the others turns -0.0 into +0.0 as np.mod does.
     theta += (theta < 0.0) * (2.0 * np.pi)
     phi = np.maximum(points[..., 2], -1.0)
     np.minimum(phi, 1.0, out=phi)

@@ -224,6 +224,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 _CF_TINY = 1e-300
 _CF_MAX_TERMS = 500
 _EPS = float(np.finfo(float).eps)
+DEPENDENT_SHARE_TOL = 1e-8  # see ols_fit; measured in the tests
 
 
 def _stirling_tail(z: float) -> float:
@@ -322,9 +323,6 @@ class RegressionFit:
     n_obs: int
     df_resid: int
 
-    def term_index(self, term: str) -> int:
-        return self.terms.index(term)
-
 
 def _qr_pivoted(x: np.ndarray, y: np.ndarray):
     """Householder QR with column pivoting of x, with Q^T applied to y.
@@ -361,11 +359,11 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
 
     One pivoted QR factorization X P = Q R (`_qr_pivoted`) gives
     everything: the rank (a deficient design raises RankDeficiencyError
-    naming the collinear columns), the coefficients from R b = Q^T y, and
-    the standard errors from the row norms of R^-1, since
-    (X^T X)^-1 = P R^-1 R^-T P^T.  X^T X is never formed, so its squared
-    condition number never enters.  The rank is the number of diagonal
-    entries of R above max(n, p) eps |R_11|.
+    naming the dropped columns and their dependent sets), the
+    coefficients from R b = Q^T y, and the standard errors from the row
+    norms of R^-1, since (X^T X)^-1 = P R^-1 R^-T P^T.  X^T X is never
+    formed, so its squared condition number never enters.  The rank is
+    the number of diagonal entries of R above max(n, p) eps |R_11|.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -384,7 +382,15 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
     tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int((diag > tol).sum())
     if rank < p:
-        raise RankDeficiencyError([terms[j] for j in sorted(pivot[rank:])])
+        # Dropped column k = X[:, kept] z, R_11 z = R_12[:, k's place], to rounding; kept
+        # column j is in its dependent set when |z_j| |x_j| > DEPENDENT_SHARE_TOL |x_k|.
+        kept, norms = pivot[:rank], np.linalg.norm(x, axis=0)
+        share = np.abs(np.linalg.solve(r_fac[:rank, :rank], r_fac[:rank, rank:]))
+        share *= norms[kept, None]
+        sets = {int(k): sorted([k, *kept[s > DEPENDENT_SHARE_TOL * norms[k]]])
+                for k, s in zip(pivot[rank:], share.T)}
+        raise RankDeficiencyError([terms[k] for k in sorted(sets)],
+                                  [[terms[j] for j in sets[k]] for k in sorted(sets)])
 
     coef = np.empty(p)
     coef[pivot] = np.linalg.solve(r_fac, qty)

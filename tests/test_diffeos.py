@@ -12,6 +12,7 @@ from elastishape.diffeos import (
 )
 from elastishape.errors import OrientationError
 from elastishape.grids import make_grid
+from elastishape.registration import reparam_objective
 from elastishape.srnf import inner, norm, srnf, srnf_action
 from elastishape.synthetic import gen_surface
 
@@ -84,6 +85,19 @@ def test_mirror_image_fails_orientation_gate(grid32):
     f = gen_surface("bumpy-sphere", grid32, amplitude=0.2, degree=3, seed=2)
     with pytest.raises(OrientationError):
         srnf_action(srnf(f), Diffeo(grid=grid32, image=mirrored))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="image rings 0 and n_v - 1 enter neither Jacobian determinant",
+)
+def test_fold_on_a_pole_ring_fails_orientation_gate(grid32):
+    folded = grid32.nodes().copy()
+    folded[0] = folded[0, ::-1]
+    q = srnf(gen_surface("bumpy-sphere", grid32, amplitude=0.1, degree=3, seed=4))
+    with pytest.raises((OrientationError, ValueError)):
+        reparam_objective(q, q, folded)
 
 
 def test_pullback_matches_field_action(grid64):

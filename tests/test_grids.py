@@ -6,6 +6,7 @@ from elastishape.errors import ZeroAreaError
 from elastishape.grids import (
     Surface,
     angles_to_sphere,
+    bilinear_sample,
     make_grid,
     normal_field,
     normalize,
@@ -103,3 +104,18 @@ def test_surface_flat_round_trip(grid16):
     assert flat.shape == (16 * 16 * 3,)
     g = f.with_points(flat.reshape(16, 16, 3))
     assert_allclose(g.points, f.points)
+
+
+def test_azimuth_reaches_two_pi_and_samples_as_zero():
+    """A point just below the x axis rounds to an azimuth of exactly 2 pi.
+    The sampler wraps it to column 0 bit for bit on these grids, where
+    2 pi / d_theta rounds to n_u (it does not for every n_u, e.g. 25)."""
+    theta, phi = sphere_to_angles(np.array([[1.0, -1e-30, 0.0]]))
+    assert theta[0] == 2.0 * np.pi
+    assert phi[0] == 0.5 * np.pi
+    for n_u, n_v in ((8, 8), (12, 9), (9, 13), (16, 16), (32, 32), (64, 64)):
+        grid = make_grid(n_u, n_v)
+        values = np.random.default_rng(n_u).standard_normal((n_v, n_u, 3))
+        for p in (0.0, 0.3, 0.5 * np.pi, np.pi):
+            assert np.array_equal(bilinear_sample(grid, values, 2.0 * np.pi, p),
+                                  bilinear_sample(grid, values, 0.0, p))

@@ -125,6 +125,20 @@ def test_jacobian_from_angles_is_bit_exact(n):
             assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("n_u, n_v", [(8, 8), (12, 9), (9, 13), (64, 64)])
+def test_jacobian_from_angles_is_bit_exact_on_every_grid_shape(n_u, n_v):
+    """On 8 rows the extrapolation's source rows 2-4 and n_v-5..n_v-3
+    nearly meet; odd and non-square grids check the row slicing."""
+    grid = make_grid(n_u, n_v)
+    inputs = [sphere_to_angles(random_diffeo(grid, seed, 0.5).image) for seed in (3, 4)]
+    inputs += [_sample_angles(grid, seed) for seed in (1, 2)]
+    for theta, phi in inputs:
+        for got, ref in zip(jacobian_from_angles(grid, theta, phi),
+                            _roll_jacobian(grid, theta, phi)):
+            assert got.shape == (n_v, n_u)
+            assert np.array_equal(got, ref)
+
+
 # Literal copies of the earlier sphere_to_angles, flow_step, _action_values
 # and _action_objective, wired to the reference sampler and Jacobian above.
 
