@@ -19,7 +19,7 @@ from .errors import OrientationError
 from .grids import (
     SphericalGrid,
     Surface,
-    _periodic_diff,
+    _per_component,
     bilinear_sample,
     sphere_to_angles,
 )
@@ -80,16 +80,30 @@ def _extrapolate_pole_rows(jac: np.ndarray) -> np.ndarray:
     stencils lose accuracy there. The determinant itself is smooth across
     the poles, so extrapolating it in the polar angle from the three
     adjacent interior rows is exact for constant fields and third order
-    for smooth ones.
+    for smooth ones:
 
-    Works in place on the rows (axis -2) of one field or a stack of
-    fields, and returns jac.  The source rows 2-4 and -3 to -5 are
-    disjoint from the replaced ones on every grid (at least 8 rows).
+    - rows 0 and n_v - 1: 6 r2 - 8 r3 + 3 r4, from rows 2-4 and n_v-3..n_v-5;
+    - rows 1 and n_v - 2: 3 r2 - 3 r3 + r4, from the same rows.
+
+    Both poles go together: every operation acts on one row pair, one row
+    near each pole.  Works in place on the rows (axis -2) of one field or
+    a stack of fields, and returns jac.  The source rows are disjoint
+    from the replaced ones on every grid (at least 8 rows).
     """
-    jac[..., 0, :] = 6.0 * jac[..., 2, :] - 8.0 * jac[..., 3, :] + 3.0 * jac[..., 4, :]
-    jac[..., 1, :] = 3.0 * jac[..., 2, :] - 3.0 * jac[..., 3, :] + jac[..., 4, :]
-    jac[..., -1, :] = 6.0 * jac[..., -3, :] - 8.0 * jac[..., -4, :] + 3.0 * jac[..., -5, :]
-    jac[..., -2, :] = 3.0 * jac[..., -3, :] - 3.0 * jac[..., -4, :] + jac[..., -5, :]
+    n_v = jac.shape[-2]
+    src = jac.take([2, n_v - 3, 3, n_v - 4, 4, n_v - 5], axis=-2)
+    r2, r3, r4 = src[..., 0:2, :], src[..., 2:4, :], src[..., 4:6, :]
+    outer = jac[..., ::n_v - 1, :]
+    inner = jac[..., 1:n_v - 1:n_v - 3, :]
+    np.multiply(r2, 6.0, out=outer)
+    part = r3 * 8.0
+    outer -= part
+    np.multiply(r4, 3.0, out=part)
+    outer += part
+    np.multiply(r2, 3.0, out=inner)
+    np.multiply(r3, 3.0, out=part)
+    inner -= part
+    inner += r4
     return jac
 
 
@@ -108,22 +122,34 @@ def jacobian_from_angles(
     Rows 2 to n_v - 3 are central differences; rows 0, 1, n_v - 2 and
     n_v - 1 are extrapolated from them.  So image rows 0 and n_v - 1
     enter neither determinant, and a fold confined to them goes unseen.
+
+    Rows 1 to n_v - 2 of both angles go into one buffer, padded by one
+    column on each side with the opposite end column, so each stencil
+    direction is one subtraction over both angles and the azimuth needs
+    no separate wrap columns.
     """
-    t_u = _wrap_angle(_periodic_diff(theta[2:-2]))
-    t_u /= 2.0 * grid.d_theta
-    t_v = _wrap_angle(theta[3:-1] - theta[1:-3])
-    t_v /= 2.0 * grid.d_phi
-    p_u = _periodic_diff(phi[2:-2])
-    p_u /= 2.0 * grid.d_theta
-    p_v = phi[3:-1] - phi[1:-3]
-    p_v /= 2.0 * grid.d_phi
+    n_v, n_u = theta.shape
+    ang = np.empty((2, n_v - 2, n_u + 2))
+    ang[0, :, 1:-1] = theta[1:-1]
+    ang[1, :, 1:-1] = phi[1:-1]
+    ang[:, :, 0] = ang[:, :, -2]
+    ang[:, :, -1] = ang[:, :, 1]
+    # diffs[0] along the azimuth, diffs[1] along the polar angle, each of
+    # (theta, phi) on rows 2 to n_v - 3; only theta differences wrap.
+    diffs = np.empty((2, 2, n_v - 4, n_u))
+    np.subtract(ang[:, 1:-1, 2:], ang[:, 1:-1, :-2], out=diffs[0])
+    np.subtract(ang[:, 2:, 1:-1], ang[:, :-2, 1:-1], out=diffs[1])
+    _wrap_angle(diffs[:, 0])
+    diffs[0] /= 2.0 * grid.d_theta
+    diffs[1] /= 2.0 * grid.d_phi
+    (t_u, p_u), (t_v, p_v) = diffs
     jac = np.empty((2,) + theta.shape)
     area, det = jac[:, 2:-2]
     np.multiply(t_u, p_v, out=det)
     t_v *= p_u
     det -= t_v
     np.sin(phi[2:-2], out=area)
-    area /= np.sin(grid.phi[2:-2])[:, None]
+    area /= grid.sin_phi[2:-2, None]
     area *= det
     _extrapolate_pole_rows(jac)
     return jac[0], jac[1]
@@ -173,7 +199,7 @@ def flow_step(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     norms = sq[..., 0] + sq[..., 1]
     norms += sq[..., 2]
     np.sqrt(norms, out=norms)
-    moved /= norms[..., None]
+    moved /= _per_component(norms, 3)
     return moved
 
 

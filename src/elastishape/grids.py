@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,13 @@ class SphericalGrid:
     @property
     def d_phi(self) -> float:
         return np.pi / self.n_v
+
+    @cached_property
+    def sin_phi(self) -> np.ndarray:
+        """sin(phi) of every row, computed once per grid."""
+        out = np.sin(self.phi)
+        out.setflags(write=False)
+        return out
 
     @property
     def cell_measure(self) -> float:
@@ -212,10 +220,24 @@ def sphere_to_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # negative angles gain 2 pi (a tiny one rounds to 2 pi itself), and
     # the 0.0 added to the others turns -0.0 into +0.0 as np.mod does.
     theta += (theta < 0.0) * (2.0 * np.pi)
-    phi = np.maximum(points[..., 2], -1.0)
+    # An explicit output keeps phi an array for a single (3,) point too.
+    phi = np.maximum(points[..., 2], -1.0, out=np.empty(points.shape[:-1]))
     np.minimum(phi, 1.0, out=phi)
     np.arccos(phi, out=phi)
     return theta, phi
+
+
+def _per_component(weights: np.ndarray, count: int) -> np.ndarray:
+    """weights[..., None] repeated count times along a new last axis.
+
+    Column by column, which is cheaper than np.repeat; the repeated
+    weights make the products with (..., count) fields elementwise
+    instead of broadcast along a short last axis.
+    """
+    out = np.empty(weights.shape + (count,))
+    for c in range(count):
+        out[..., c] = weights
+    return out
 
 
 def bilinear_sample(
@@ -231,11 +253,11 @@ def bilinear_sample(
     tu = np.array(theta, dtype=float, ndmin=1)
     tu /= grid.d_theta
     i0 = np.floor(tu)
-    au = np.subtract(tu, i0, out=tu)
+    # The azimuth and polar fractions, au and av, side by side.
+    frac = np.empty((2,) + tu.shape)
+    np.subtract(tu, i0, out=frac[0])
     i0 = i0.astype(np.intp)
     np.remainder(i0, grid.n_u, out=i0)
-    i1 = i0 + 1
-    np.remainder(i1, grid.n_u, out=i1)
 
     tv = np.array(phi, dtype=float, ndmin=1)
     tv /= grid.d_phi
@@ -244,37 +266,36 @@ def bilinear_sample(
     np.minimum(tv, grid.n_v - 1.0, out=tv)
     j0 = np.floor(tv)
     np.minimum(j0, grid.n_v - 2.0, out=j0)
-    av = np.subtract(tv, j0, out=tv)
+    np.subtract(tv, j0, out=frac[1])
 
-    # Gather rows of the flattened grid at j * n_u + i: i0 and i1 become
-    # the flat indices on row j0 here, and on row j0 + 1 after adding n_u.
-    flat = values.reshape((grid.n_v * grid.n_u,) + values.shape[2:])
-    r0 = j0.astype(np.intp)
-    r0 *= grid.n_u
-    i0 += r0
-    i1 += r0
-    # Weights repeated over the value components, so every product below
-    # is elementwise instead of broadcast along a short last axis.
-    shp = au.shape + values.shape[2:]
-    per_node = math.prod(values.shape[2:])
-    au = np.repeat(au.reshape(-1), per_node).reshape(shp)
-    av = np.repeat(av.reshape(-1), per_node).reshape(shp)
-    bu = 1.0 - au
-    bv = 1.0 - av
-    out = flat.take(i0, axis=0)
+    # Gather from the grid with column 0 repeated after column n_u - 1,
+    # flattened: node (j, i) sits at j * width + i, so its azimuth
+    # neighbour i + 1 is the next entry with no wrap, and the same node
+    # on row j + 1 is width entries on.
+    width = grid.n_u + 1
+    padded = np.concatenate((values, values[:, :1]), axis=1)
+    flat = padded.reshape((grid.n_v * width,) + values.shape[2:])
+    at = j0.astype(np.intp)
+    at *= width
+    at += i0
+    shp = (2,) + tu.shape + values.shape[2:]
+    frac = _per_component(frac, math.prod(values.shape[2:])).reshape(shp)
+    au, av = frac
+    bu, bv = 1.0 - frac
+    # The indices are in range, and "clip" lets take write into out
+    # without the buffer that the default "raise" mode adds.
+    out = flat.take(at, axis=0, mode="clip")
     out *= bu
     out *= bv
-    part = flat.take(i1, axis=0)
+    part = flat[1:].take(at, axis=0, mode="clip")
     part *= au
     part *= bv
     out += part
-    i0 += grid.n_u
-    i1 += grid.n_u
-    flat.take(i0, axis=0, out=part)
+    flat[width:].take(at, axis=0, out=part, mode="clip")
     part *= bu
     part *= av
     out += part
-    flat.take(i1, axis=0, out=part)
+    flat[width + 1:].take(at, axis=0, out=part, mode="clip")
     part *= au
     part *= av
     out += part

@@ -12,11 +12,14 @@ evaluations per basis field.  Those maps are evaluated as stacks of shape
 (maps, n_v, n_u, 3): the flow step, the image angles, the sampled action
 and the residual sums each take one numpy call per stack instead of one
 per map, while the Jacobian stencils and the orientation check still run
-map by map.  A stack holds the +h and -h maps of as many fields as fit
-in STENCIL_STACK_BYTES per image array, and always at least one pair.
-Larger stacks measured slower on one thread (6 and 10 maps at 32x32
-against 4).  Stacking changes no arithmetic, so the gradient is bit
-for bit the per-field one.
+map by map.  Every product of a per-node factor with the 3-vector field
+multiplies by the factor repeated per component (`grids._per_component`),
+not by a broadcast along the short last axis.  A stack holds the +h and
+-h maps of as many fields as fit in STENCIL_STACK_BYTES per image array,
+and always at least one pair.  At 32x32 that is 4 maps, the fastest on
+one thread; 6 maps was within 3% of it there and 11% faster on two
+concurrent threads, so no stack size won both.  Stacking changes no
+arithmetic, so the gradient is bit for bit the per-field one.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def register_cohort(
     Threads share the interpreter lock, and the search is mostly small
     numpy calls, so threads=2 is still slower than serial: on 8 subjects
     at 32x32 (max_iters=8, rounds=2, one BLAS thread, 2 CPUs) it took
-    1.07x the serial time (medians of 5 runs, 3.12 s against 2.91 s).
+    1.24x the serial time (medians of 9 runs, 2.02 s against 1.63 s).
     The results are identical to serial ones.
     """
     if threads > 1:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import sphere_to_angles
+from .grids import _per_component, sphere_to_angles
 
 __all__ = [
     "sph_harm_y",
@@ -200,11 +200,9 @@ def tangent_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
     e_it = np.exp(1j * theta)
     rows = [_degree_row(l, theta, phi) for l in range(max_degree + 1)]
 
-    e_theta = np.stack([-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=-1)
-    e_phi = np.stack(
-        [np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta), -np.sin(phi)],
-        axis=-1,
-    )
+    sin_t, cos_t, cos_p = np.sin(theta), np.cos(theta), np.cos(phi)
+    e_theta = np.stack([-sin_t, cos_t, np.zeros_like(theta)], axis=-1)
+    e_phi = np.stack([cos_p * cos_t, cos_p * sin_t, -np.sin(phi)], axis=-1)
 
     n_grads = len(harmonic_orders(max_degree))
     out = np.empty((2 * n_grads,) + pts.shape)
@@ -218,13 +216,15 @@ def tangent_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
         ]
         for m in range(-l, l + 1):
             d_phi, az = parts[abs(m)]
-            c_phi = _realize(m, d_phi)[..., None]
-            # s x e_theta = -e_phi and s x e_phi = e_theta
-            grads[k] = c_phi * e_phi
-            rots[k] = c_phi * e_theta
+            # Coefficients repeated over the three components, so each
+            # product is elementwise; s x e_theta = -e_phi, s x e_phi = e_theta.
+            c_phi = _per_component(_realize(m, d_phi), 3)
+            np.multiply(c_phi, e_phi, out=grads[k])
+            np.multiply(c_phi, e_theta, out=rots[k])
             if m:
-                c_theta = _realize(m, az)[..., None]
+                c_theta = _per_component(_realize(m, az), 3)
                 grads[k] += c_theta * e_theta
-                rots[k] -= c_theta * e_phi
+                c_theta *= e_phi
+                rots[k] -= c_theta
             k += 1
     return out

@@ -17,7 +17,14 @@ import numpy as np
 
 from .diffeos import Diffeo, jacobian_from_angles
 from .errors import OrientationError
-from .grids import SphericalGrid, Surface, bilinear_sample, normal_field, sphere_to_angles
+from .grids import (
+    SphericalGrid,
+    Surface,
+    _per_component,
+    bilinear_sample,
+    normal_field,
+    sphere_to_angles,
+)
 
 DEGENERACY_FLOOR = 1e-12
 
@@ -73,7 +80,7 @@ def _pole_smoothed(grid: SphericalGrid, q: np.ndarray) -> np.ndarray:
     so the remaining field is smooth and bilinear interpolation stays
     second order up to the pole rows.
     """
-    return q / np.sqrt(np.sin(grid.phi))[:, None, None]
+    return q / np.sqrt(grid.sin_phi)[:, None, None]
 
 
 def _action_values(
@@ -83,12 +90,13 @@ def _action_values(
     """Raw action values sqrt(J(s)) * q(gamma(s)) from `_pole_smoothed` q,
     the image angles of gamma and its coordinate Jacobian (no checks)."""
     values = bilinear_sample(grid, smooth, theta, phi)
-    root_jac = np.maximum(coord_jac, 0.0)
-    np.sqrt(root_jac, out=root_jac)
-    values *= root_jac[..., None]
-    root_sin = np.sin(phi)
-    np.sqrt(root_sin, out=root_sin)
-    values *= root_sin[..., None]
+    roots = np.empty((2,) + np.shape(phi))
+    np.maximum(coord_jac, 0.0, out=roots[0])
+    np.sin(phi, out=roots[1])
+    np.sqrt(roots, out=roots)
+    root_jac, root_sin = _per_component(roots, values.shape[-1])
+    values *= root_jac
+    values *= root_sin
     return values
 
 

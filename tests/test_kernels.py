@@ -32,7 +32,7 @@ from elastishape.registration import (
     _stacked_objective,
     reparam_gradient,
 )
-from elastishape.sphharm import tangent_basis
+from elastishape.sphharm import harmonic_orders, sph_harm_y, tangent_basis
 from elastishape.srnf import SrnfField, _action_values, _pole_smoothed
 
 
@@ -81,7 +81,16 @@ def _roll_jacobian(grid, theta, phi):
     p_u, p_v = _roll_d_du(phi, grid.d_theta), _d_dv(phi, grid.d_phi)
     det = t_u * p_v - t_v * p_u
     area = (np.sin(phi) / np.sin(grid.phi)[:, None]) * det
-    return _extrapolate_pole_rows(area), _extrapolate_pole_rows(det)
+    return _ref_extrapolate_pole_rows(area), _ref_extrapolate_pole_rows(det)
+
+
+def _ref_extrapolate_pole_rows(jac):
+    """The pole extrapolation one row at a time, as first written."""
+    jac[..., 0, :] = 6.0 * jac[..., 2, :] - 8.0 * jac[..., 3, :] + 3.0 * jac[..., 4, :]
+    jac[..., 1, :] = 3.0 * jac[..., 2, :] - 3.0 * jac[..., 3, :] + jac[..., 4, :]
+    jac[..., -1, :] = 6.0 * jac[..., -3, :] - 8.0 * jac[..., -4, :] + 3.0 * jac[..., -5, :]
+    jac[..., -2, :] = 3.0 * jac[..., -3, :] - 3.0 * jac[..., -4, :] + jac[..., -5, :]
+    return jac
 
 
 def _sample_angles(grid, seed):
@@ -96,13 +105,18 @@ def _sample_angles(grid, seed):
     return theta, phi
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_bilinear_sample_is_bit_exact(n):
-    grid = make_grid(n, n)
-    rng = np.random.default_rng(n)
+@pytest.mark.parametrize(
+    "n_u, n_v", [(16, 16), (32, 32), (25, 25), (41, 16)], ids=["16", "32", "25x25", "41x16"]
+)
+def test_bilinear_sample_is_bit_exact(n_u, n_v):
+    """At n_u = 25 and 41, 2 pi / d_theta rounds below n_u, so theta = 2 pi
+    falls in the last cell and its right neighbour wraps to column 0."""
+    grid = make_grid(n_u, n_v)
+    rng = np.random.default_rng(n_u)
     for seed in (1, 2):
         theta, phi = _sample_angles(grid, seed)
-        for values in (rng.standard_normal((n, n, 3)), rng.standard_normal((n, n))):
+        theta[1, ::3] = 2.0 * np.pi
+        for values in (rng.standard_normal((n_v, n_u, 3)), rng.standard_normal((n_v, n_u))):
             got = bilinear_sample(grid, values, theta, phi)
             assert np.array_equal(got, _fancy_bilinear(grid, values, theta, phi))
 
@@ -128,7 +142,8 @@ def test_jacobian_from_angles_is_bit_exact(n):
 @pytest.mark.parametrize("n_u, n_v", [(8, 8), (12, 9), (9, 13), (64, 64)])
 def test_jacobian_from_angles_is_bit_exact_on_every_grid_shape(n_u, n_v):
     """On 8 rows the extrapolation's source rows 2-4 and n_v-5..n_v-3
-    nearly meet; odd and non-square grids check the row slicing."""
+    nearly meet; odd and non-square grids check the row slicing.  The
+    extrapolation alone is also checked on a (maps, n_v, n_u) stack."""
     grid = make_grid(n_u, n_v)
     inputs = [sphere_to_angles(random_diffeo(grid, seed, 0.5).image) for seed in (3, 4)]
     inputs += [_sample_angles(grid, seed) for seed in (1, 2)]
@@ -137,6 +152,14 @@ def test_jacobian_from_angles_is_bit_exact_on_every_grid_shape(n_u, n_v):
                             _roll_jacobian(grid, theta, phi)):
             assert got.shape == (n_v, n_u)
             assert np.array_equal(got, ref)
+    stack = np.random.default_rng(n_v).standard_normal((5, n_v, n_u))
+    stack[1] = inputs[0][0]
+    stack[2, :, ::2] = -0.0
+    ref = _ref_extrapolate_pole_rows(stack.copy())
+    got = stack.copy()
+    assert _extrapolate_pole_rows(got) is got
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 # Literal copies of the earlier sphere_to_angles, flow_step, _action_values
@@ -198,8 +221,10 @@ def test_sphere_to_angles_and_flow_step_are_bit_exact(n):
     grid = make_grid(n, n)
     for seed in (5, 6):
         image = _seam_image(grid, seed)
-        for points in (image, _SPECIAL_POINTS):
+        # Single (3,) points too: an exact pole, a -0.0 component, an image node.
+        for points in (image, _SPECIAL_POINTS, _SPECIAL_POINTS[4], _SPECIAL_POINTS[0], image[3, 5]):
             for got, ref in zip(sphere_to_angles(points), _ref_sphere_to_angles(points)):
+                assert np.shape(got) == np.shape(ref)
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
         fields = tangent_basis(image, 3)
@@ -339,3 +364,89 @@ def test_stacked_objective_property(seed, magnitude, maps, mirror_bits):
     stack = np.stack([_mirrored(img) if flip else img for img, flip in zip(images, mirror)])
     admissible = _check_stack_against_single_maps(grid, q1, smooth, stack)
     assert not admissible[mirror].any()
+
+
+# A literal copy of the earlier tangent_basis: the ladder identities one
+# order at a time and the fields assembled one (l, m) at a time.
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def _ref_realize(m, values):
+    if m > 0:
+        return _SQRT2 * (-1.0) ** m * values.real
+    if m < 0:
+        return _SQRT2 * (-1.0) ** m * values.imag
+    return values.real
+
+
+def _ref_order(row, b):
+    if abs(b) >= len(row):
+        return 0.0
+    if b < 0:
+        return (-1.0) ** b * np.conj(row[-b])
+    return row[b]
+
+
+def _ref_d_polar(row, a, e_it):
+    l = len(row) - 1
+    up = np.sqrt((l - a) * (l + a + 1)) * np.conj(e_it) * _ref_order(row, a + 1)
+    down = np.sqrt((l + a) * (l - a + 1)) * e_it * _ref_order(row, a - 1)
+    return 0.5 * (up - down)
+
+
+def _ref_over_sin(lower, a, e_it):
+    l = len(lower)
+    left = np.sqrt((l + a) * (l + a - 1)) * e_it * _ref_order(lower, a - 1)
+    right = np.sqrt((l - a) * (l - a - 1)) * np.conj(e_it) * _ref_order(lower, a + 1)
+    return -0.5 * np.sqrt((2 * l + 1) / (2 * l - 1)) * (left + right)
+
+
+def _ref_tangent_basis(points, max_degree):
+    pts = np.asarray(points, dtype=float)
+    theta, phi = _ref_sphere_to_angles(pts)
+    e_it = np.exp(1j * theta)
+    rows = [[sph_harm_y(l, a, phi, theta) for a in range(l + 1)]
+            for l in range(max_degree + 1)]
+
+    e_theta = np.stack([-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=-1)
+    e_phi = np.stack(
+        [np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta), -np.sin(phi)],
+        axis=-1,
+    )
+
+    n_grads = len(harmonic_orders(max_degree))
+    out = np.empty((2 * n_grads,) + pts.shape)
+    grads, rots = out[:n_grads], out[n_grads:]
+    k = 0
+    for l in range(1, max_degree + 1):
+        parts = [
+            (_ref_d_polar(rows[l], a, e_it),
+             1j * _ref_over_sin(rows[l - 1], a, e_it) if a else None)
+            for a in range(l + 1)
+        ]
+        for m in range(-l, l + 1):
+            d_phi, az = parts[abs(m)]
+            c_phi = _ref_realize(m, d_phi)[..., None]
+            grads[k] = c_phi * e_phi
+            rots[k] = c_phi * e_theta
+            if m:
+                c_theta = _ref_realize(m, az)[..., None]
+                grads[k] += c_theta * e_theta
+                rots[k] -= c_theta * e_phi
+            k += 1
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_tangent_basis_is_bit_exact(n):
+    grid = make_grid(n, n)
+    images = [random_diffeo(grid, seed, 0.5).image for seed in (10, 11)]
+    images += [_seam_image(grid, 12), grid.nodes(), _SPECIAL_POINTS]
+    for points in images:
+        for degree in (1, 3):
+            got = tangent_basis(points, degree)
+            ref = _ref_tangent_basis(points, degree)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
