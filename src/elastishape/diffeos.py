@@ -1,16 +1,15 @@
 """Discrete orientation-preserving diffeomorphisms of the sphere.
 
 A diffeomorphism is stored as its image: one unit vector per grid node.
-Its Jacobian determinant is computed by central differences of the
-spherical coordinates of the image on rows 2 to n_v - 3 and extrapolated
-onto the two rows nearest each pole.  One pass of those derivatives
-gives both determinants the package uses: the area-ratio one (identity
-map has determinant one everywhere), which the orientation checks read,
-and the coordinate one, which the SRNF action needs.
+Its area-ratio Jacobian determinant (identity map has determinant one
+everywhere) comes from central differences of those 3-vectors, see
+`jacobian_from_angles`; the orientation checks and the SRNF action read
+that one determinant.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,8 @@ from .grids import (
     SphericalGrid,
     Surface,
     _per_component,
+    _periodic_diff,
+    _polar_diff,
     bilinear_sample,
     sphere_to_angles,
 )
@@ -34,6 +35,8 @@ __all__ = [
     "pullback",
     "flow_step",
 ]
+
+logger = logging.getLogger(__name__)
 
 RANDOM_FLOW_COUNT = 5
 _MAX_RETRIES = 10
@@ -63,107 +66,46 @@ def identity_diffeo(grid: SphericalGrid) -> Diffeo:
     return Diffeo(grid=grid, image=grid.nodes())
 
 
-def _wrap_angle(d: np.ndarray) -> np.ndarray:
-    """Map angle differences to (-pi, pi], in place; returns d."""
-    turns = d / (2.0 * np.pi)
-    np.rint(turns, out=turns)
-    turns *= 2.0 * np.pi
-    d -= turns
-    return d
+def _image_det(image: np.ndarray) -> np.ndarray:
+    """gamma . (gamma_phi x gamma_theta) from the unscaled grid stencils,
+    in the order of np.cross and of numpy's sum over the components."""
+    a0, a1, a2 = _polar_diff(image).transpose(2, 0, 1)
+    b0, b1, b2 = _periodic_diff(image).transpose(2, 0, 1)
+    g0, g1, g2 = image.transpose(2, 0, 1)
+    det = (a1 * b2 - a2 * b1) * g0
+    det += (a2 * b0 - a0 * b2) * g1
+    det += (a0 * b1 - a1 * b0) * g2
+    return det
 
 
-def _extrapolate_pole_rows(jac: np.ndarray) -> np.ndarray:
-    """Replace the two rows nearest each pole by quadratic extrapolation.
+# Image shape -> `_image_det` of the identity map, filled on first use;
+# threads racing on a first use store equal arrays.
+_IDENTITY_DET: dict = {}
 
-    The azimuth of the image swings rapidly where the image approaches a
-    pole, which happens systematically on these rows, and the difference
-    stencils lose accuracy there. The determinant itself is smooth across
-    the poles, so extrapolating it in the polar angle from the three
-    adjacent interior rows is exact for constant fields and third order
-    for smooth ones:
 
-    - rows 0 and n_v - 1: 6 r2 - 8 r3 + 3 r4, from rows 2-4 and n_v-3..n_v-5;
-    - rows 1 and n_v - 2: 3 r2 - 3 r3 + r4, from the same rows.
+def jacobian_from_angles(grid: SphericalGrid, image: np.ndarray) -> np.ndarray:
+    """Area-ratio Jacobian determinant of a sphere map, from its image.
 
-    Both poles go together: every operation acts on one row pair, one row
-    near each pole.  Works in place on the rows (axis -2) of one field or
-    a stack of fields, and returns jac.  The source rows are disjoint
-    from the replaced ones on every grid (at least 8 rows).
+    J = gamma . (gamma_phi x gamma_theta) from central differences of the
+    image's unit 3-vectors (periodic in azimuth, one-sided on the end
+    rows), divided node by node by its value for the identity map; the
+    grid steps cancel.  The identity gives exactly one, and a rotation
+    one to rounding.  No angle of the image enters, so the gate holds
+    where the image passes near a pole, and a fold on an end row shows.
+
+    The name is kept from an earlier angle stencil: `bench/layers.py`
+    counts objective evaluations as calls of `jacobian_from_angles`
+    through the `registration` namespace, one per map.
     """
-    n_v = jac.shape[-2]
-    src = jac.take([2, n_v - 3, 3, n_v - 4, 4, n_v - 5], axis=-2)
-    r2, r3, r4 = src[..., 0:2, :], src[..., 2:4, :], src[..., 4:6, :]
-    outer = jac[..., ::n_v - 1, :]
-    inner = jac[..., 1:n_v - 1:n_v - 3, :]
-    np.multiply(r2, 6.0, out=outer)
-    part = r3 * 8.0
-    outer -= part
-    np.multiply(r4, 3.0, out=part)
-    outer += part
-    np.multiply(r2, 3.0, out=inner)
-    np.multiply(r3, 3.0, out=part)
-    inner -= part
-    inner += r4
-    return jac
-
-
-def jacobian_from_angles(
-    grid: SphericalGrid, theta: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both Jacobian determinants from precomputed image angles.
-
-    Returns (area, coord).  coord is the determinant of the image angles
-    with respect to the grid angles: the change-of-variables factor for
-    the flat dtheta dphi measure that the SRNF inner product uses, so it
-    is the factor that makes the reparameterization action an isometry.
-    area is the area-ratio convention, coord times sin(image polar) /
-    sin(grid polar).
-
-    Rows 2 to n_v - 3 are central differences; rows 0, 1, n_v - 2 and
-    n_v - 1 are extrapolated from them.  So image rows 0 and n_v - 1
-    enter neither determinant, and a fold confined to them goes unseen.
-
-    Rows 1 to n_v - 2 of both angles go into one buffer, padded by one
-    column on each side with the opposite end column, so each stencil
-    direction is one subtraction over both angles and the azimuth needs
-    no separate wrap columns.
-    """
-    n_v, n_u = theta.shape
-    ang = np.empty((2, n_v - 2, n_u + 2))
-    ang[0, :, 1:-1] = theta[1:-1]
-    ang[1, :, 1:-1] = phi[1:-1]
-    ang[:, :, 0] = ang[:, :, -2]
-    ang[:, :, -1] = ang[:, :, 1]
-    # diffs[0] along the azimuth, diffs[1] along the polar angle, each of
-    # (theta, phi) on rows 2 to n_v - 3; only theta differences wrap.
-    diffs = np.empty((2, 2, n_v - 4, n_u))
-    np.subtract(ang[:, 1:-1, 2:], ang[:, 1:-1, :-2], out=diffs[0])
-    np.subtract(ang[:, 2:, 1:-1], ang[:, :-2, 1:-1], out=diffs[1])
-    _wrap_angle(diffs[:, 0])
-    diffs[0] /= 2.0 * grid.d_theta
-    diffs[1] /= 2.0 * grid.d_phi
-    (t_u, p_u), (t_v, p_v) = diffs
-    jac = np.empty((2,) + theta.shape)
-    area, det = jac[:, 2:-2]
-    np.multiply(t_u, p_v, out=det)
-    t_v *= p_u
-    det -= t_v
-    np.sin(phi[2:-2], out=area)
-    area /= grid.sin_phi[2:-2, None]
-    area *= det
-    _extrapolate_pole_rows(jac)
-    return jac[0], jac[1]
-
-
-def jacobian_det_of_image(grid: SphericalGrid, image: np.ndarray) -> np.ndarray:
-    """Area-ratio Jacobian determinant field of a sphere map given its image."""
-    theta, phi = sphere_to_angles(image)
-    return jacobian_from_angles(grid, theta, phi)[0]
+    ident = _IDENTITY_DET.get(image.shape)
+    if ident is None:
+        ident = _IDENTITY_DET[image.shape] = _image_det(grid.nodes())
+    return _image_det(image) / ident
 
 
 def jacobian_det(g: Diffeo) -> np.ndarray:
     """Per-node Jacobian determinant, area-ratio convention (identity -> 1)."""
-    return jacobian_det_of_image(g.grid, g.image)
+    return jacobian_from_angles(g.grid, g.image)
 
 
 def compose(g1: Diffeo, g2: Diffeo) -> Diffeo:
@@ -213,14 +155,18 @@ def random_diffeo(
     largest pointwise displacement is magnitude / RANDOM_FLOW_COUNT, so
     magnitude bounds the total angular displacement.  If the result
     fails the orientation check the magnitude is halved and the draw
-    repeated, up to 10 times.
+    repeated, up to 10 times; each retry is logged at INFO with the seed
+    and the new magnitude, since the map then moves less than asked.
 
     Deterministic for a fixed (seed, magnitude, max_degree, grid).
     """
     rng = np.random.default_rng(seed)
     base = grid.nodes()
     mag = float(magnitude)
-    for _ in range(_MAX_RETRIES):
+    for attempt in range(_MAX_RETRIES):
+        if attempt:
+            mag *= 0.5
+            logger.info("random diffeo seed %d folded; retrying at magnitude %g", seed, mag)
         pts = base
         for _k in range(RANDOM_FLOW_COUNT):
             fields = tangent_basis(pts, max_degree)
@@ -230,9 +176,8 @@ def random_diffeo(
             if speed > 0:
                 velocity *= mag / (RANDOM_FLOW_COUNT * speed)
             pts = flow_step(pts, velocity)
-        if jacobian_det_of_image(grid, pts).min() > 0.0:
+        if jacobian_from_angles(grid, pts).min() > 0.0:
             return Diffeo(grid=grid, image=pts)
-        mag *= 0.5
     raise OrientationError(
         f"random diffeo generation failed orientation check after "
         f"{_MAX_RETRIES} retries (seed={seed}, magnitude={magnitude})"

@@ -142,6 +142,16 @@ def _periodic_diff(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _polar_diff(values: np.ndarray) -> np.ndarray:
+    """values[j + 1] - values[j - 1] along axis 0, and on the end rows the
+    one-sided second-order stencils with the same scale."""
+    out = np.empty_like(values)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
+    out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+    return out
+
+
 def _d_du(values: np.ndarray, d_theta: float) -> np.ndarray:
     """Central difference along the periodic azimuth axis (axis 1)."""
     out = _periodic_diff(values)
@@ -150,16 +160,9 @@ def _d_du(values: np.ndarray, d_theta: float) -> np.ndarray:
 
 
 def _d_dv(values: np.ndarray, d_phi: float) -> np.ndarray:
-    """Central difference along the polar axis, one-sided at the end rows.
-
-    The one-sided stencils are the 3-point second-order ones, so the
-    scheme is second order at every row.
-    """
-    out = np.empty_like(values)
-    mid = np.subtract(values[2:], values[:-2], out=out[1:-1])
-    mid /= 2.0 * d_phi
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * d_phi)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * d_phi)
+    """Second-order difference along the polar axis (axis 0)."""
+    out = _polar_diff(values)
+    out /= 2.0 * d_phi
     return out
 
 
@@ -240,15 +243,39 @@ def _per_component(weights: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _pole_padded(values: np.ndarray) -> np.ndarray:
+    """values with a row across each pole and column 0 repeated last.
+
+    Across a pole, polar angle -dphi / 2 is row 0 at azimuth theta + pi,
+    and pi + dphi / 2 is row n_v - 1 there; these become rows 0 and
+    n_v + 1.  For odd n_u, theta + pi falls midway between two columns,
+    and the row across takes their mean.
+    """
+    n_v, n_u = values.shape[:2]
+    padded = np.empty((n_v + 2, n_u + 1) + values.shape[2:])
+    padded[1:-1, :-1] = values
+    ends = values[::n_v - 1]
+    half = n_u // 2
+    across = padded[::n_v + 1, :-1]
+    across[:] = np.roll(ends, -half, axis=1)
+    if n_u % 2:
+        across += np.roll(ends, -half - 1, axis=1)
+        across *= 0.5
+    padded[:, -1] = padded[:, 0]
+    return padded
+
+
 def bilinear_sample(
     grid: SphericalGrid, values: np.ndarray, theta: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    """Bilinear interpolation of a grid field at arbitrary sphere angles.
+    """Bilinear interpolation of a grid field at sphere angles.
 
-    Periodic in azimuth; clamped to the end rows in the polar direction
-    (the cell-centered rows leave a half-cell band at each pole where the
-    nearest row value is used).  values has shape (n_v, n_u, ...) and the
-    result has shape theta.shape + values.shape[2:].
+    Periodic in azimuth.  In the polar direction the half-cell band at
+    each pole interpolates across the pole, towards the end row at the
+    opposite azimuth (see `_pole_padded`), so the sampled field has no
+    seam at the poles.  theta is any azimuth, phi a polar angle in
+    [0, pi].  values has shape (n_v, n_u, ...) and the result has shape
+    theta.shape + values.shape[2:].
     """
     tu = np.array(theta, dtype=float, ndmin=1)
     tu /= grid.d_theta
@@ -259,22 +286,18 @@ def bilinear_sample(
     i0 = i0.astype(np.intp)
     np.remainder(i0, grid.n_u, out=i0)
 
+    # Row position among the padded rows: grid row j sits at j + 1.
     tv = np.array(phi, dtype=float, ndmin=1)
     tv /= grid.d_phi
-    tv -= 0.5
-    np.maximum(tv, 0.0, out=tv)
-    np.minimum(tv, grid.n_v - 1.0, out=tv)
+    tv += 0.5
     j0 = np.floor(tv)
-    np.minimum(j0, grid.n_v - 2.0, out=j0)
     np.subtract(tv, j0, out=frac[1])
 
-    # Gather from the grid with column 0 repeated after column n_u - 1,
-    # flattened: node (j, i) sits at j * width + i, so its azimuth
-    # neighbour i + 1 is the next entry with no wrap, and the same node
-    # on row j + 1 is width entries on.
+    # Gather from the padded grid, flattened: node (j, i) sits at
+    # j * width + i, so its azimuth neighbour i + 1 is the next entry
+    # with no wrap, and the same node on row j + 1 is width entries on.
     width = grid.n_u + 1
-    padded = np.concatenate((values, values[:, :1]), axis=1)
-    flat = padded.reshape((grid.n_v * width,) + values.shape[2:])
+    flat = _pole_padded(values).reshape(((grid.n_v + 2) * width,) + values.shape[2:])
     at = j0.astype(np.intp)
     at *= width
     at += i0
@@ -282,8 +305,8 @@ def bilinear_sample(
     frac = _per_component(frac, math.prod(values.shape[2:])).reshape(shp)
     au, av = frac
     bu, bv = 1.0 - frac
-    # The indices are in range, and "clip" lets take write into out
-    # without the buffer that the default "raise" mode adds.
+    # The indices are in range for phi in [0, pi], and "clip" lets take
+    # write into out without the buffer that the default "raise" mode adds.
     out = flat.take(at, axis=0, mode="clip")
     out *= bu
     out *= bv

@@ -9,15 +9,18 @@ accepted step so every iterate remains a valid diffeomorphism.
 
 The gradient is a centered finite-difference stencil: two objective
 evaluations per basis field.  Those maps are evaluated as stacks of shape
-(maps, n_v, n_u, 3): the flow step, the image angles, the sampled action
-and the residual sums each take one numpy call per stack instead of one
-per map, while the Jacobian stencils and the orientation check still run
-map by map.  Every product of a per-node factor with the 3-vector field
-multiplies by the factor repeated per component (`grids._per_component`),
-not by a broadcast along the short last axis.  A stack holds the +h and
--h maps of as many fields as fit in STENCIL_STACK_BYTES per image array,
-and always at least one pair.  At 32x32 that is 4 maps, the fastest on
-one thread; 6 maps was within 3% of it there and 11% faster on two
+(maps, n_v, n_u, 3): the flow step, the image angles, the orientation
+check, the sampled action and the residual sums each take one numpy call
+per stack instead of one per map, while the area Jacobian, from
+Cartesian differences of each image (`diffeos.jacobian_from_angles`),
+runs map by map.  The one Jacobian serves both the orientation check
+and the action's sqrt(J sin phi_grid) factor.  Every product of a
+per-node factor with the 3-vector field multiplies by the factor
+repeated per component (`grids._per_component`), not by a broadcast
+along the short last axis.  A stack holds the +h and -h maps of as many
+fields as fit in STENCIL_STACK_BYTES per image array, and always at
+least one pair.  At 32x32 that is 4 maps, the fastest on one thread in
+3 of 4 sweeps of 2, 4, 6 and 8 maps; 6 maps was the fastest on two
 concurrent threads, so no stack size won both.  Stacking changes no
 arithmetic, so the gradient is bit for bit the per-field one.
 """
@@ -124,18 +127,17 @@ def _stacked_objective(
 
     Returns the energies and a boolean mask of the admissible maps; a
     False entry marks an orientation violation (non-positive Jacobian)
-    and its energy is meaningless.  The angles, the sampled action and
-    the residual sums run over the whole stack; the Jacobian stencils and
-    the orientation check run map by map.
+    and its energy is meaningless.  The angles, the orientation check,
+    the sampled action and the residual sums run over the whole stack;
+    the Jacobian runs map by map.
     """
     maps = images.shape[0]
     theta, phi = sphere_to_angles(images)
-    coord = np.empty(theta.shape)
-    admissible = np.empty(maps, dtype=bool)
+    jac = np.empty(theta.shape)
     for m in range(maps):
-        area, coord[m] = jacobian_from_angles(grid, theta[m], phi[m])
-        admissible[m] = area.min() > 0.0
-    diff = _action_values(grid, smooth2, theta, phi, coord)
+        jac[m] = jacobian_from_angles(grid, images[m])
+    admissible = jac.reshape(maps, -1).min(axis=1) > 0.0
+    diff = _action_values(grid, smooth2, theta, phi, jac)
     np.subtract(q1, diff, out=diff)
     diff *= diff
     energy = diff.reshape(maps, -1).sum(axis=1)

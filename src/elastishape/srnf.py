@@ -85,35 +85,36 @@ def _pole_smoothed(grid: SphericalGrid, q: np.ndarray) -> np.ndarray:
 
 def _action_values(
     grid: SphericalGrid, smooth: np.ndarray, theta: np.ndarray, phi: np.ndarray,
-    coord_jac: np.ndarray
+    jac: np.ndarray
 ) -> np.ndarray:
-    """Raw action values sqrt(J(s)) * q(gamma(s)) from `_pole_smoothed` q,
-    the image angles of gamma and its coordinate Jacobian (no checks)."""
+    """Raw action values sqrt(max(J, 0) sin phi_grid) * smooth(gamma(s)), no checks.
+
+    smooth is `_pole_smoothed` q; theta, phi and jac are the image angles
+    and area-ratio Jacobian of one map or a stack of maps.
+    """
     values = bilinear_sample(grid, smooth, theta, phi)
-    roots = np.empty((2,) + np.shape(phi))
-    np.maximum(coord_jac, 0.0, out=roots[0])
-    np.sin(phi, out=roots[1])
-    np.sqrt(roots, out=roots)
-    root_jac, root_sin = _per_component(roots, values.shape[-1])
-    values *= root_jac
-    values *= root_sin
+    root = np.maximum(jac, 0.0)
+    root *= grid.sin_phi[:, None]
+    np.sqrt(root, out=root)
+    values *= _per_component(root, values.shape[-1])
     return values
 
 
 def srnf_action(q: SrnfField, g: Diffeo) -> SrnfField:
     """Reparameterization action (q ⋆ gamma)(s) = sqrt(J(s)) q(gamma(s)).
 
-    J here is the determinant of the image angles with respect to the
-    grid angles, the change-of-variables factor for the flat measure of
-    the inner product; with it the action preserves the norm. Raises
-    OrientationError when the Jacobian determinant of g is not positive
-    everywhere.
+    With J the determinant of the image angles over the grid angles, the
+    change of variables for the flat dtheta dphi measure of the inner
+    product, the action preserves the norm.  It is computed as
+    sqrt(J_area sin phi_grid) times the pole-smoothed field at gamma(s),
+    with J_area from `jacobian_from_angles`, which is the same product.
+    Raises OrientationError when J_area is not positive at every node.
     """
     if not q.grid.same_dims(g.grid):
         raise ValueError("field and diffeo must share grid dimensions")
-    theta, phi = sphere_to_angles(g.image)
-    area, coord = jacobian_from_angles(q.grid, theta, phi)
-    if area.min() <= 0.0:
+    jac = jacobian_from_angles(q.grid, g.image)
+    if jac.min() <= 0.0:
         raise OrientationError("diffeo is not orientation preserving at some node")
+    theta, phi = sphere_to_angles(g.image)
     smooth = _pole_smoothed(q.grid, q.q)
-    return SrnfField(grid=q.grid, q=_action_values(q.grid, smooth, theta, phi, coord))
+    return SrnfField(grid=q.grid, q=_action_values(q.grid, smooth, theta, phi, jac))

@@ -40,6 +40,8 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     if axis == "x":
         return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    if axis == "y":
+        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     raise ValueError(axis)
 
 

@@ -12,16 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elastishape.diffeos import (
-    _extrapolate_pole_rows,
-    _wrap_angle,
-    flow_step,
-    jacobian_from_angles,
-    random_diffeo,
-)
+from elastishape.diffeos import flow_step, jacobian_from_angles, random_diffeo
 from elastishape.grids import (
     _d_du,
-    _d_dv,
     angles_to_sphere,
     bilinear_sample,
     make_grid,
@@ -29,6 +22,7 @@ from elastishape.grids import (
 )
 from elastishape.registration import (
     _action_objective,
+    _basis_gradient,
     _stacked_objective,
     reparam_gradient,
 )
@@ -40,17 +34,27 @@ def _roll_d_du(values, d_theta):
     return (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * d_theta)
 
 
+def _across_pole(row, n_u):
+    """An end row seen from the opposite azimuth theta + pi."""
+    half = n_u // 2
+    if n_u % 2:
+        return 0.5 * (np.roll(row, -half, axis=0) + np.roll(row, -half - 1, axis=0))
+    return np.roll(row, -half, axis=0)
+
+
 def _fancy_bilinear(grid, values, theta, phi):
+    """Bilinear sampling over the rows padded with one row across each pole."""
+    padded = np.concatenate(
+        [_across_pole(values[0], grid.n_u)[None], values, _across_pole(values[-1], grid.n_u)[None]]
+    )
     tu = np.asarray(theta) / grid.d_theta
     i0 = np.floor(tu).astype(int)
     au = tu - i0
     i0 = np.mod(i0, grid.n_u)
     i1 = np.mod(i0 + 1, grid.n_u)
 
-    tv = np.asarray(phi) / grid.d_phi - 0.5
-    tv = np.clip(tv, 0.0, grid.n_v - 1.0)
+    tv = np.asarray(phi) / grid.d_phi + 0.5
     j0 = np.floor(tv).astype(int)
-    j0 = np.minimum(j0, grid.n_v - 2)
     av = tv - j0
     j1 = j0 + 1
 
@@ -59,43 +63,30 @@ def _fancy_bilinear(grid, values, theta, phi):
     au = au.reshape(shp)
     av = av.reshape(shp)
     return (
-        values[j0, i0] * (1.0 - au) * (1.0 - av)
-        + values[j0, i1] * au * (1.0 - av)
-        + values[j1, i0] * (1.0 - au) * av
-        + values[j1, i1] * au * av
+        padded[j0, i0] * (1.0 - au) * (1.0 - av)
+        + padded[j0, i1] * au * (1.0 - av)
+        + padded[j1, i0] * (1.0 - au) * av
+        + padded[j1, i1] * au * av
     )
 
 
-def _roll_jacobian(grid, theta, phi):
-    t_u = _wrap_angle(np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)) / (
-        2.0 * grid.d_theta
-    )
-    t_v = np.empty_like(theta)
-    t_v[1:-1] = _wrap_angle(theta[2:] - theta[:-2]) / (2.0 * grid.d_phi)
-    t_v[0] = (
-        4.0 * _wrap_angle(theta[1] - theta[0]) - _wrap_angle(theta[2] - theta[0])
-    ) / (2.0 * grid.d_phi)
-    t_v[-1] = (
-        4.0 * _wrap_angle(theta[-1] - theta[-2]) - _wrap_angle(theta[-1] - theta[-3])
-    ) / (2.0 * grid.d_phi)
-    p_u, p_v = _roll_d_du(phi, grid.d_theta), _d_dv(phi, grid.d_phi)
-    det = t_u * p_v - t_v * p_u
-    area = (np.sin(phi) / np.sin(grid.phi)[:, None]) * det
-    return _ref_extrapolate_pole_rows(area), _ref_extrapolate_pole_rows(det)
+def _roll_det(image):
+    """gamma . (gamma_phi x gamma_theta) by np.roll, row formulas and np.cross."""
+    g_theta = np.roll(image, -1, axis=1) - np.roll(image, 1, axis=1)
+    g_phi = np.empty_like(image)
+    g_phi[1:-1] = image[2:] - image[:-2]
+    g_phi[0] = -3.0 * image[0] + 4.0 * image[1] - image[2]
+    g_phi[-1] = 3.0 * image[-1] - 4.0 * image[-2] + image[-3]
+    return (image * np.cross(g_phi, g_theta)).sum(axis=-1)
 
 
-def _ref_extrapolate_pole_rows(jac):
-    """The pole extrapolation one row at a time, as first written."""
-    jac[..., 0, :] = 6.0 * jac[..., 2, :] - 8.0 * jac[..., 3, :] + 3.0 * jac[..., 4, :]
-    jac[..., 1, :] = 3.0 * jac[..., 2, :] - 3.0 * jac[..., 3, :] + jac[..., 4, :]
-    jac[..., -1, :] = 6.0 * jac[..., -3, :] - 8.0 * jac[..., -4, :] + 3.0 * jac[..., -5, :]
-    jac[..., -2, :] = 3.0 * jac[..., -3, :] - 3.0 * jac[..., -4, :] + jac[..., -5, :]
-    return jac
+def _roll_jacobian(grid, image):
+    return _roll_det(image) / _roll_det(grid.nodes())
 
 
 def _sample_angles(grid, seed):
     """Image angles of a random diffeo, plus points on the azimuth seam
-    and inside both clamped pole bands."""
+    and inside both half-cell pole bands, which sample across the pole."""
     theta, phi = sphere_to_angles(random_diffeo(grid, seed, 0.5).image)
     theta, phi = theta.copy(), phi.copy()
     rng = np.random.default_rng(seed)
@@ -110,12 +101,16 @@ def _sample_angles(grid, seed):
 )
 def test_bilinear_sample_is_bit_exact(n_u, n_v):
     """At n_u = 25 and 41, 2 pi / d_theta rounds below n_u, so theta = 2 pi
-    falls in the last cell and its right neighbour wraps to column 0."""
+    falls in the last cell and its right neighbour wraps to column 0; odd
+    n_u also averages two columns for the rows across the poles.  The
+    exact poles sample midway between the end row and the row across."""
     grid = make_grid(n_u, n_v)
     rng = np.random.default_rng(n_u)
     for seed in (1, 2):
         theta, phi = _sample_angles(grid, seed)
         theta[1, ::3] = 2.0 * np.pi
+        phi[2, ::4] = 0.0
+        phi[3, ::4] = np.pi
         for values in (rng.standard_normal((n_v, n_u, 3)), rng.standard_normal((n_v, n_u))):
             got = bilinear_sample(grid, values, theta, phi)
             assert np.array_equal(got, _fancy_bilinear(grid, values, theta, phi))
@@ -129,37 +124,28 @@ def test_d_du_is_bit_exact():
         assert np.array_equal(_d_du(values, grid.d_theta), _roll_d_du(values, grid.d_theta))
 
 
+def _jacobian_inputs(grid):
+    """Random diffeo images, and images of the seam and pole-band angles."""
+    images = [random_diffeo(grid, seed, 0.5).image for seed in (3, 4)]
+    return images + [angles_to_sphere(*_sample_angles(grid, seed)) for seed in (1, 2)]
+
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_jacobian_from_angles_is_bit_exact(n):
     grid = make_grid(n, n)
-    for seed in (3, 4):
-        theta, phi = sphere_to_angles(random_diffeo(grid, seed, 0.5).image)
-        for got, ref in zip(jacobian_from_angles(grid, theta, phi),
-                            _roll_jacobian(grid, theta, phi)):
-            assert np.array_equal(got, ref)
+    for image in _jacobian_inputs(grid):
+        assert np.array_equal(jacobian_from_angles(grid, image), _roll_jacobian(grid, image))
 
 
 @pytest.mark.parametrize("n_u, n_v", [(8, 8), (12, 9), (9, 13), (64, 64)])
 def test_jacobian_from_angles_is_bit_exact_on_every_grid_shape(n_u, n_v):
-    """On 8 rows the extrapolation's source rows 2-4 and n_v-5..n_v-3
-    nearly meet; odd and non-square grids check the row slicing.  The
-    extrapolation alone is also checked on a (maps, n_v, n_u) stack."""
+    """8 rows is the fewest the end-row stencils allow; odd and non-square
+    grids check the row and column slicing."""
     grid = make_grid(n_u, n_v)
-    inputs = [sphere_to_angles(random_diffeo(grid, seed, 0.5).image) for seed in (3, 4)]
-    inputs += [_sample_angles(grid, seed) for seed in (1, 2)]
-    for theta, phi in inputs:
-        for got, ref in zip(jacobian_from_angles(grid, theta, phi),
-                            _roll_jacobian(grid, theta, phi)):
-            assert got.shape == (n_v, n_u)
-            assert np.array_equal(got, ref)
-    stack = np.random.default_rng(n_v).standard_normal((5, n_v, n_u))
-    stack[1] = inputs[0][0]
-    stack[2, :, ::2] = -0.0
-    ref = _ref_extrapolate_pole_rows(stack.copy())
-    got = stack.copy()
-    assert _extrapolate_pole_rows(got) is got
-    assert np.array_equal(got, ref)
-    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    for image in _jacobian_inputs(grid):
+        got = jacobian_from_angles(grid, image)
+        assert got.shape == (n_v, n_u)
+        assert np.array_equal(got, _roll_jacobian(grid, image))
 
 
 # Literal copies of the earlier sphere_to_angles, flow_step, _action_values
@@ -178,25 +164,24 @@ def _ref_flow_step(points, velocity):
     return moved / np.sqrt((moved * moved).sum(axis=-1))[..., None]
 
 
-def _ref_action_values(grid, smooth, theta, phi, coord_jac):
+def _ref_action_values(grid, smooth, theta, phi, jac):
     sampled = _fancy_bilinear(grid, smooth, theta, phi)
-    jac = np.maximum(coord_jac, 0.0)
-    return np.sqrt(jac)[..., None] * sampled * np.sqrt(np.sin(phi))[..., None]
+    return sampled * np.sqrt(np.maximum(jac, 0.0) * np.sin(grid.phi)[:, None])[..., None]
 
 
 def _ref_action_objective(grid, q1, smooth2, image):
     theta, phi = _ref_sphere_to_angles(image)
-    area, coord = _roll_jacobian(grid, theta, phi)
-    if area.min() <= 0.0:
+    jac = _roll_jacobian(grid, image)
+    if jac.min() <= 0.0:
         return None
-    diff = q1 - _ref_action_values(grid, smooth2, theta, phi, coord)
+    diff = q1 - _ref_action_values(grid, smooth2, theta, phi, jac)
     return float((diff * diff).sum() * grid.cell_measure)
 
 
 def _seam_image(grid, seed):
     """A random diffeo image turned about z so the node nearest the equator
     sits 1e-13 below theta = 2 pi; random_diffeo at magnitude 0.5 also
-    moves nodes into both clamped pole bands."""
+    moves nodes into both half-cell pole bands."""
     image = random_diffeo(grid, seed, 0.5).image
     theta, phi = sphere_to_angles(image)
     k = np.unravel_index(np.argmin(np.abs(phi - 0.5 * np.pi)), phi.shape)
@@ -242,10 +227,10 @@ def test_action_values_and_objective_are_bit_exact(n):
     smooth = rng.standard_normal((n, n, 3))
     for seed in (7, 8):
         theta, phi = _sample_angles(grid, seed)
-        coord = jacobian_from_angles(grid, theta, phi)[1].copy()
-        coord[2, ::3] = -1e-3  # the clamp at zero
-        assert np.array_equal(_action_values(grid, smooth, theta, phi, coord),
-                              _ref_action_values(grid, smooth, theta, phi, coord))
+        jac = jacobian_from_angles(grid, angles_to_sphere(theta, phi))
+        jac[2, ::3] = -1e-3  # the clamp at zero
+        assert np.array_equal(_action_values(grid, smooth, theta, phi, jac),
+                              _ref_action_values(grid, smooth, theta, phi, jac))
         image = _seam_image(grid, seed)
         for img in (image, flow_step(image, 0.01 * tangent_basis(image, 3)[3])):
             value = _action_objective(grid, q1, smooth, img)
@@ -296,13 +281,20 @@ def test_reparam_gradient_is_bit_exact(n):
     smooth2 = _pole_smoothed(grid, q2.q)
     hits = Counter()
     # The default step at the seam image, then a strongly warped image and
-    # a coarse step under which some +h maps, some -h maps and some pairs
-    # fold over.
-    for image, h in ((_seam_image(grid, 5), 1e-4), (random_diffeo(grid, 2, 1.0).image, 0.1)):
+    # a coarse step under which some pairs fold over on both sides.
+    for image, h in ((_seam_image(grid, 5), 1e-4), (random_diffeo(grid, 2, 1.0).image, 0.5)):
         fields = tangent_basis(image, 3)
         e_center = _ref_action_objective(grid, q1.q, smooth2, image)
         ref = _ref_basis_gradient(grid, q1.q, smooth2, image, fields, h, e_center, hits)
         assert np.array_equal(reparam_gradient(q1, q2, image, 3, h), ref)
+    # Steps folding on one side only: h * toward passes the mirror plane
+    # for h = 0.75, and -h * toward stretches the image away from it.
+    image = random_diffeo(grid, 3, 0.5).image
+    toward = _mirrored(image) - image
+    fields = np.concatenate([toward[None], -toward[None], tangent_basis(image, 3)[:4]])
+    e_center = _ref_action_objective(grid, q1.q, smooth2, image)
+    ref = _ref_basis_gradient(grid, q1.q, smooth2, image, fields, 0.75, e_center, hits)
+    assert np.array_equal(_basis_gradient(grid, q1.q, smooth2, image, fields, 0.75, e_center), ref)
     assert set(hits) == {"central", "plus", "minus", "skip"}
 
 
