@@ -277,6 +277,15 @@ def bilinear_sample(
     [0, pi].  values has shape (n_v, n_u, ...) and the result has shape
     theta.shape + values.shape[2:].
     """
+    return _padded_sample(grid, _pole_padded(values), theta, phi)
+
+
+def _padded_sample(
+    grid: SphericalGrid, padded: np.ndarray, theta: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """`bilinear_sample` of a field already padded by `_pole_padded`, so a
+    caller that samples one field many times pads it once."""
+    tail = padded.shape[2:]
     tu = np.array(theta, dtype=float, ndmin=1)
     tu /= grid.d_theta
     i0 = np.floor(tu)
@@ -297,12 +306,12 @@ def bilinear_sample(
     # j * width + i, so its azimuth neighbour i + 1 is the next entry
     # with no wrap, and the same node on row j + 1 is width entries on.
     width = grid.n_u + 1
-    flat = _pole_padded(values).reshape(((grid.n_v + 2) * width,) + values.shape[2:])
+    flat = padded.reshape(((grid.n_v + 2) * width,) + tail)
     at = j0.astype(np.intp)
     at *= width
     at += i0
-    shp = (2,) + tu.shape + values.shape[2:]
-    frac = _per_component(frac, math.prod(values.shape[2:])).reshape(shp)
+    shp = (2,) + tu.shape + tail
+    frac = _per_component(frac, math.prod(tail)).reshape(shp)
     au, av = frac
     bu, bv = 1.0 - frac
     # The indices are in range for phi in [0, pi], and "clip" lets take
@@ -322,4 +331,4 @@ def bilinear_sample(
     part *= au
     part *= av
     out += part
-    return out.reshape(np.shape(theta) + values.shape[2:])
+    return out.reshape(np.shape(theta) + tail)

@@ -3,9 +3,14 @@
 The shape distance between two sampled surfaces is the field norm
 ``|q1 - O (q2 * gamma)|`` minimized over rotations O and sphere
 diffeomorphisms gamma.  Rotations have a closed-form Procrustes solution;
-the diffeomorphism is found by gradient descent over coefficients of a
-low-degree harmonic tangent-field basis, accumulating one small flow per
-accepted step so every iterate remains a valid diffeomorphism.
+the diffeomorphism is found by gradient descent over the coefficients of
+a tangent-field basis, accumulating one small flow per accepted step so
+every iterate remains a valid diffeomorphism.  The basis holds the
+surface gradients of the real harmonics of degree 1 to basis_degree and
+their rotations s x grad Y (`sphharm.tangent_basis`), evaluated at the
+current image once per iteration from one cached polynomial table.
+The pole-smoothed target field is padded for sampling once per search
+(`srnf._sampled_field`).
 
 The gradient is a centered finite-difference stencil: two objective
 evaluations per basis field.  Those maps are evaluated as stacks of shape
@@ -34,7 +39,7 @@ import numpy as np
 from .diffeos import Diffeo, flow_step, jacobian_from_angles
 from .grids import SphericalGrid, Surface, bilinear_sample, sphere_to_angles
 from .sphharm import tangent_basis
-from .srnf import SrnfField, _action_values, _pole_smoothed, norm, srnf, srnf_action
+from .srnf import SrnfField, _action_values, _sampled_field, norm, srnf, srnf_action
 
 __all__ = [
     "RegistrationOpts",
@@ -121,15 +126,16 @@ def optimal_rotation(q1: SrnfField, q2: SrnfField) -> np.ndarray:
 
 
 def _stacked_objective(
-    grid: SphericalGrid, q1: np.ndarray, smooth2: np.ndarray, images: np.ndarray
+    grid: SphericalGrid, q1: np.ndarray, padded2: np.ndarray, images: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """E(gamma) = |q1 - (q2 * gamma)|^2 for a stack of images (maps, n_v, n_u, 3).
 
-    Returns the energies and a boolean mask of the admissible maps; a
-    False entry marks an orientation violation (non-positive Jacobian)
-    and its energy is meaningless.  The angles, the orientation check,
-    the sampled action and the residual sums run over the whole stack;
-    the Jacobian runs map by map.
+    padded2 is q2 as `srnf._sampled_field` prepares it.  Returns the
+    energies and a boolean mask of the admissible maps; a False entry
+    marks an orientation violation (non-positive Jacobian) and its
+    energy is meaningless.  The angles, the orientation check, the
+    sampled action and the residual sums run over the whole stack; the
+    Jacobian runs map by map.
     """
     maps = images.shape[0]
     theta, phi = sphere_to_angles(images)
@@ -137,7 +143,7 @@ def _stacked_objective(
     for m in range(maps):
         jac[m] = jacobian_from_angles(grid, images[m])
     admissible = jac.reshape(maps, -1).min(axis=1) > 0.0
-    diff = _action_values(grid, smooth2, theta, phi, jac)
+    diff = _action_values(grid, padded2, theta, phi, jac)
     np.subtract(q1, diff, out=diff)
     diff *= diff
     energy = diff.reshape(maps, -1).sum(axis=1)
@@ -146,23 +152,23 @@ def _stacked_objective(
 
 
 def _action_objective(
-    grid: SphericalGrid, q1: np.ndarray, smooth2: np.ndarray, image: np.ndarray
+    grid: SphericalGrid, q1: np.ndarray, padded2: np.ndarray, image: np.ndarray
 ):
     """E(gamma) for one explicit image, or None on an orientation violation,
     which the caller treats as an inadmissible step."""
-    energy, admissible = _stacked_objective(grid, q1, smooth2, image[None])
+    energy, admissible = _stacked_objective(grid, q1, padded2, image[None])
     return float(energy[0]) if admissible[0] else None
 
 
 def reparam_objective(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> float:
     """Public evaluation of the reparameterization objective at an image."""
-    val = _action_objective(q1.grid, q1.q, _pole_smoothed(q2.grid, q2.q), image)
+    val = _action_objective(q1.grid, q1.q, _sampled_field(q2.grid, q2.q), image)
     if val is None:
         raise ValueError("image is not orientation preserving")
     return val
 
 
-def _basis_gradient(grid, q1, smooth2, image, fields, h, e_center):
+def _basis_gradient(grid, q1, padded2, image, fields, h, e_center):
     """Centered directional finite differences along every basis field.
 
     The +h and -h maps of consecutive fields are evaluated as one stack
@@ -180,7 +186,7 @@ def _basis_gradient(grid, q1, smooth2, image, fields, h, e_center):
         np.multiply(block, h, out=velocity[:, 0])
         np.negative(velocity[:, 0], out=velocity[:, 1])
         images = flow_step(image, velocity.reshape((-1,) + image.shape))
-        e, ok = _stacked_objective(grid, q1, smooth2, images)
+        e, ok = _stacked_objective(grid, q1, padded2, images)
         energy[start:start + len(block)] = e.reshape(-1, 2)
         admissible[start:start + len(block)] = ok.reshape(-1, 2)
 
@@ -205,12 +211,12 @@ def reparam_gradient(
 ) -> np.ndarray:
     """The optimizer's gradient of E over basis coefficients at an image."""
     grid = q1.grid
-    smooth2 = _pole_smoothed(q2.grid, q2.q)
-    e0 = _action_objective(grid, q1.q, smooth2, image)
+    padded2 = _sampled_field(q2.grid, q2.q)
+    e0 = _action_objective(grid, q1.q, padded2, image)
     if e0 is None:
         raise ValueError("image is not orientation preserving")
     fields = tangent_basis(image, basis_degree)
-    return _basis_gradient(grid, q1.q, smooth2, image, fields, grad_step, e0)
+    return _basis_gradient(grid, q1.q, padded2, image, fields, grad_step, e0)
 
 
 def optimize_reparam(
@@ -236,10 +242,10 @@ def optimize_reparam(
         raise ValueError("fields must share grid dimensions")
     opts = opts or RegistrationOpts()
     grid = q1.grid
-    smooth2 = _pole_smoothed(q2.grid, q2.q)
+    padded2 = _sampled_field(q2.grid, q2.q)
     image = np.array(init.image if init is not None else grid.nodes())
 
-    energy = _action_objective(grid, q1.q, smooth2, image)
+    energy = _action_objective(grid, q1.q, padded2, image)
     if energy is None:
         raise ValueError("initial diffeo is not orientation preserving")
     trace = [energy]
@@ -251,7 +257,7 @@ def optimize_reparam(
     for _ in range(opts.max_iters):
         fields = tangent_basis(image, opts.basis_degree)
         grad = _basis_gradient(
-            grid, q1.q, smooth2, image, fields, opts.grad_step, energy
+            grid, q1.q, padded2, image, fields, opts.grad_step, energy
         )
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
@@ -263,7 +269,7 @@ def optimize_reparam(
         while step >= opts.step_floor:
             velocity = np.tensordot(step * direction, fields, axes=1)
             moved = flow_step(image, velocity)
-            e_cand = _action_objective(grid, q1.q, smooth2, moved)
+            e_cand = _action_objective(grid, q1.q, padded2, moved)
             if e_cand is not None and e_cand < energy:
                 candidate, cand_energy = moved, e_cand
                 break

@@ -6,21 +6,28 @@ low-frequency family of smooth vector fields used both to generate random
 sphere diffeomorphisms and to parameterize reparameterization steps
 during registration.
 
-Derivatives come from the complex values alone, one value call of
-``sph_harm_y`` per Y_l^a with 0 <= a <= l, Y_l^{-a} = (-1)^a conj(Y_l^a)
-and the ladder identities (theta azimuth, phi polar):
+The basis is computed in Cartesian form, with no angles and no trig.
+For a real orthonormal Y_lm, the solid harmonic R_lm = r^l Y_lm is a
+homogeneous harmonic polynomial of degree l in (x, y, z), and at a unit
+vector s:
 
-- dY_l^a/dtheta = i a Y_l^a;
-- dY_l^a/dphi = 1/2 [sqrt((l-a)(l+a+1)) e^{-i theta} Y_l^{a+1}
-  - sqrt((l+a)(l-a+1)) e^{i theta} Y_l^{a-1}];
-- a Y_l^a / sin(phi) = -1/2 sqrt((2l+1)/(2l-1))
-  [sqrt((l+a)(l+a-1)) e^{i theta} Y_{l-1}^{a-1}
-  + sqrt((l-a)(l-a-1)) e^{-i theta} Y_{l-1}^{a+1}].
+- the gradient field is grad R - (s . grad R) s, the tangential part of
+  the ambient gradient (s . grad R = l R by Euler's identity);
+- the rotated field is s x grad R.
 
-The last one gives the azimuthal component of a gradient without a
-division by sin(phi), so the fields stay exact at the poles.
+Each grad R_lm is a polynomial of degree l - 1, so every field of degree
+at most L is a fixed coefficient table times the monomials x^a y^b z^c
+with a + b + c <= L - 1.  The table is built once per degree, on first
+use, by polynomial algebra on coefficient arrays (no fitting), from the
+solid form of the recurrence below: sin(phi) e^{i theta} becomes x + iy,
+cos(phi) becomes z, and the two-step term gains a factor r^2.  One basis
+evaluation is then power tables, three gathers for the monomials, one
+matmul, the projection and the cross product, with no division, so the
+fields stay exact at the poles.  `real_harmonic_grad` takes its angular
+derivatives from the same table: d/dtheta = grad R . (-y, x, 0) and
+d/dphi = grad R . (cos phi cos theta, cos phi sin theta, -sin phi).
 
-The complex values themselves come from ``sph_harm_y``, a numpy
+Harmonic values (`real_harmonic`) come from ``sph_harm_y``, a numpy
 recurrence for the orthonormal associated Legendre functions
 P_l^a(cos phi) (Condon-Shortley phase), in place of
 ``scipy.special.sph_harm_y``: importing scipy costs a process about
@@ -39,8 +46,6 @@ agree with scipy's to a few ulp.
 from __future__ import annotations
 
 import numpy as np
-
-from .grids import _per_component, sphere_to_angles
 
 __all__ = [
     "sph_harm_y",
@@ -110,34 +115,81 @@ def _realize(m: int, values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def _degree_row(l: int, theta: np.ndarray, phi: np.ndarray) -> list:
-    """Complex [Y_l^0, ..., Y_l^l] at azimuth theta, polar phi."""
-    return [sph_harm_y(l, a, phi, theta) for a in range(l + 1)]
+def _solid_harmonics(max_degree: int) -> dict:
+    """(l, a) -> r^l Y_l^a for 0 <= a <= l <= max_degree, as coefficients.
+
+    Entry [i, j, k] of each complex array is the coefficient of
+    x^i y^j z^k.  The recurrence is the one of `sph_harm_y` in solid
+    form (module docstring).  A product with x, y or z rolls the array
+    along that axis; no term passes max_degree, so the roll wraps zeros.
+    """
+    n = max_degree + 1
+    solid = {}
+    diag = np.zeros((n, n, n), dtype=complex)
+    diag[0, 0, 0] = _Y00
+    for a in range(n):
+        if a:
+            x_iy = np.roll(diag, 1, axis=0) + 1j * np.roll(diag, 1, axis=1)
+            diag = -np.sqrt((2 * a + 1) / (2 * a)) * x_iy
+        solid[a, a] = diag
+        for k in range(a + 1, n):
+            z_prev = np.roll(solid[k - 1, a], 1, axis=2)
+            if k == a + 1:
+                solid[k, a] = np.sqrt(2 * a + 3) * z_prev
+            else:
+                r2_prev = sum(np.roll(solid[k - 2, a], 2, axis=axis) for axis in range(3))
+                c = np.sqrt(((k - 1) ** 2 - a * a) / (4 * (k - 1) ** 2 - 1))
+                solid[k, a] = np.sqrt((4 * k * k - 1) / (k * k - a * a)) * (z_prev - c * r2_prev)
+    return solid
 
 
-def _order(row: list, b: int):
-    """Y_l^b from a degree row: (-1)^b conj(Y_l^-b) for b < 0, zero for |b| > l."""
-    if abs(b) >= len(row):
-        return 0.0
-    if b < 0:
-        return (-1.0) ** b * np.conj(row[-b])
-    return row[b]
+def _build_gradient_table(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial gathers and coefficients of grad R_lm, 1 <= l <= max_degree.
+
+    Returns (gathers, table).  gathers is (3, n_mono): the rows of a
+    (max_degree, 3, n) power table, flattened, whose product is each
+    monomial x^a y^b z^c with a + b + c <= max_degree - 1, lowest degree
+    first.  table is (3 * n_fields, n_mono): row 3 k + c holds the
+    coefficients of d R / d x_c for the k-th (l, m) of `harmonic_orders`.
+    """
+    exps = np.array([(a, b, d - a - b) for d in range(max_degree)
+                     for a in range(d, -1, -1) for b in range(d - a, -1, -1)])
+    solid = _solid_harmonics(max_degree)
+    weights = np.arange(1, max_degree + 1)
+    orders = harmonic_orders(max_degree)
+    table = np.empty((len(orders), 3, len(exps)))
+    a, b, c = exps.T
+    for k, (l, m) in enumerate(orders):
+        r = _realize(m, solid[l, abs(m)])
+        table[k, 0] = (r[1:] * weights[:, None, None])[a, b, c]
+        table[k, 1] = (r[:, 1:] * weights[None, :, None])[a, b, c]
+        table[k, 2] = (r[:, :, 1:] * weights[None, None, :])[a, b, c]
+    gathers = 3 * exps + np.arange(3)
+    return gathers.T.copy(), table.reshape(3 * len(orders), len(exps))
 
 
-def _d_polar(row: list, a: int, e_it: np.ndarray) -> np.ndarray:
-    """dY_l^a/dphi from the degree-l row by the polar ladder identity."""
-    l = len(row) - 1
-    up = np.sqrt((l - a) * (l + a + 1)) * np.conj(e_it) * _order(row, a + 1)
-    down = np.sqrt((l + a) * (l - a + 1)) * e_it * _order(row, a - 1)
-    return 0.5 * (up - down)
+# Gradient tables by degree, built on first use, not at import.  Threads
+# racing on a first use each store an equal table.
+_GRADIENT_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _over_sin(lower: list, a: int, e_it: np.ndarray) -> np.ndarray:
-    """a Y_l^a / sin(phi) from the degree-(l-1) row, with no division."""
-    l = len(lower)
-    left = np.sqrt((l + a) * (l + a - 1)) * e_it * _order(lower, a - 1)
-    right = np.sqrt((l - a) * (l - a - 1)) * np.conj(e_it) * _order(lower, a + 1)
-    return -0.5 * np.sqrt((2 * l + 1) / (2 * l - 1)) * (left + right)
+def _harmonic_gradients(s: np.ndarray, max_degree: int) -> np.ndarray:
+    """grad R_lm at the columns of s (3, n), for every (l, m) of
+    `harmonic_orders(max_degree)`: shape (n_fields, 3, n)."""
+    tables = _GRADIENT_TABLES.get(max_degree)
+    if tables is None:
+        tables = _GRADIENT_TABLES[max_degree] = _build_gradient_table(max_degree)
+    gathers, table = tables
+    n = s.shape[1]
+    powers = np.empty((max_degree, 3, n))
+    powers[0] = 1.0
+    for e in range(1, max_degree):
+        np.multiply(powers[e - 1], s, out=powers[e])
+    flat = powers.reshape(3 * max_degree, n)
+    monomials = flat.take(gathers[0], axis=0)
+    monomials *= flat.take(gathers[1], axis=0)
+    monomials *= flat.take(gathers[2], axis=0)
+    return (table @ monomials).reshape(-1, 3, n)
 
 
 def real_harmonic(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -154,22 +206,24 @@ def real_harmonic_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value plus partial derivatives (d/dtheta, d/dphi) of the real harmonic.
 
-    Both derivatives come from the complex values of degree l, a = |m|:
-    dY_l^a/dtheta = i a Y_l^a, and by the ladder identity
-    dY_l^a/dphi = 1/2 [sqrt((l-a)(l+a+1)) e^{-i theta} Y_l^{a+1}
-    - sqrt((l+a)(l-a+1)) e^{i theta} Y_l^{a-1}].  `tangent_basis` uses the
-    same ones plus a Y_l^a / sin(phi) = -1/2 sqrt((2l+1)/(2l-1))
-    [sqrt((l+a)(l+a-1)) e^{i theta} Y_{l-1}^{a-1}
-    + sqrt((l-a)(l-a-1)) e^{-i theta} Y_{l-1}^{a+1}].
+    The derivatives are grad R . (-y, x, 0) and
+    grad R . (cos phi cos theta, cos phi sin theta, -sin phi) with the
+    Cartesian gradient of `tangent_basis` (module docstring).
     Raises ValueError for l < 0 or |m| > l.
     """
-    _check_order(l, m)
-    theta = np.asarray(theta, dtype=float)
-    a = abs(m)
-    row = _degree_row(l, theta, np.asarray(phi, dtype=float))
-    y = row[a]
-    d_phi = _d_polar(row, a, np.exp(1j * theta))
-    return _realize(m, y), _realize(m, 1j * a * y), _realize(m, d_phi)
+    value = real_harmonic(l, m, theta, phi)
+    if l == 0:
+        return value, np.zeros_like(value), np.zeros_like(value)
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    sin_t, cos_t, sin_p, cos_p = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    x, y = sin_p * cos_t, sin_p * sin_t
+    s = np.stack([x, y, cos_p]).reshape(3, -1)
+    # (l, m) is entry l^2 + l + m - 1 of harmonic_orders(l).
+    gx, gy, gz = _harmonic_gradients(s, l)[l * l + l + m - 1].reshape((3,) + theta.shape)
+    d_theta = x * gy - y * gx
+    d_phi = cos_p * (cos_t * gx + sin_t * gy) - sin_p * gz
+    return value, d_theta, d_phi
 
 
 def n_tangent_fields(max_degree: int) -> int:
@@ -196,35 +250,22 @@ def tangent_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
     if max_degree < 1:
         raise ValueError(f"tangent basis needs max_degree >= 1, got {max_degree}")
     pts = np.asarray(points, dtype=float)
-    theta, phi = sphere_to_angles(pts)
-    e_it = np.exp(1j * theta)
-    rows = [_degree_row(l, theta, phi) for l in range(max_degree + 1)]
-
-    sin_t, cos_t, cos_p = np.sin(theta), np.cos(theta), np.cos(phi)
-    e_theta = np.stack([-sin_t, cos_t, np.zeros_like(theta)], axis=-1)
-    e_phi = np.stack([cos_p * cos_t, cos_p * sin_t, -np.sin(phi)], axis=-1)
-
-    n_grads = len(harmonic_orders(max_degree))
-    out = np.empty((2 * n_grads,) + pts.shape)
-    grads, rots = out[:n_grads], out[n_grads:]
-    k = 0
-    for l in range(1, max_degree + 1):
-        # dY_l^a/dphi, and dY_l^a/dtheta over sin(phi) (zero for a = 0)
-        parts = [
-            (_d_polar(rows[l], a, e_it), 1j * _over_sin(rows[l - 1], a, e_it) if a else None)
-            for a in range(l + 1)
-        ]
-        for m in range(-l, l + 1):
-            d_phi, az = parts[abs(m)]
-            # Coefficients repeated over the three components, so each
-            # product is elementwise; s x e_theta = -e_phi, s x e_phi = e_theta.
-            c_phi = _per_component(_realize(m, d_phi), 3)
-            np.multiply(c_phi, e_phi, out=grads[k])
-            np.multiply(c_phi, e_theta, out=rots[k])
-            if m:
-                c_theta = _per_component(_realize(m, az), 3)
-                grads[k] += c_theta * e_theta
-                c_theta *= e_phi
-                rots[k] -= c_theta
-            k += 1
-    return out
+    s = pts.reshape(-1, 3).T.copy()
+    grad = _harmonic_gradients(s, max_degree)
+    n_grads = grad.shape[0]
+    out = np.empty((2, n_grads, s.shape[1], 3))
+    grads, rots = out
+    # The radial part s . grad R, projected out of the gradient fields.
+    radial = grad[:, 0] * s[0]
+    part = grad[:, 1] * s[1]
+    radial += part
+    np.multiply(grad[:, 2], s[2], out=part)
+    radial += part
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(radial, s[c], out=part)
+        np.subtract(grad[:, c], part, out=grads[..., c])
+        # (s x grad R)_c = s_i dR/dx_j - s_j dR/dx_i
+        np.multiply(grad[:, j], s[i], out=rots[..., c])
+        np.multiply(grad[:, i], s[j], out=part)
+        rots[..., c] -= part
+    return out.reshape((2 * n_grads,) + pts.shape)

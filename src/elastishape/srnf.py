@@ -20,8 +20,9 @@ from .errors import OrientationError
 from .grids import (
     SphericalGrid,
     Surface,
+    _padded_sample,
     _per_component,
-    bilinear_sample,
+    _pole_padded,
     normal_field,
     sphere_to_angles,
 )
@@ -83,16 +84,25 @@ def _pole_smoothed(grid: SphericalGrid, q: np.ndarray) -> np.ndarray:
     return q / np.sqrt(grid.sin_phi)[:, None, None]
 
 
+def _sampled_field(grid: SphericalGrid, q: np.ndarray) -> np.ndarray:
+    """`_pole_smoothed` q, padded for sampling (`grids._pole_padded`).
+
+    A search samples this one field at every map it tries, so it pads
+    the field once.
+    """
+    return _pole_padded(_pole_smoothed(grid, q))
+
+
 def _action_values(
-    grid: SphericalGrid, smooth: np.ndarray, theta: np.ndarray, phi: np.ndarray,
+    grid: SphericalGrid, padded: np.ndarray, theta: np.ndarray, phi: np.ndarray,
     jac: np.ndarray
 ) -> np.ndarray:
     """Raw action values sqrt(max(J, 0) sin phi_grid) * smooth(gamma(s)), no checks.
 
-    smooth is `_pole_smoothed` q; theta, phi and jac are the image angles
+    padded is `_sampled_field` q; theta, phi and jac are the image angles
     and area-ratio Jacobian of one map or a stack of maps.
     """
-    values = bilinear_sample(grid, smooth, theta, phi)
+    values = _padded_sample(grid, padded, theta, phi)
     root = np.maximum(jac, 0.0)
     root *= grid.sin_phi[:, None]
     np.sqrt(root, out=root)
@@ -116,5 +126,5 @@ def srnf_action(q: SrnfField, g: Diffeo) -> SrnfField:
     if jac.min() <= 0.0:
         raise OrientationError("diffeo is not orientation preserving at some node")
     theta, phi = sphere_to_angles(g.image)
-    smooth = _pole_smoothed(q.grid, q.q)
-    return SrnfField(grid=q.grid, q=_action_values(q.grid, smooth, theta, phi, jac))
+    padded = _sampled_field(q.grid, q.q)
+    return SrnfField(grid=q.grid, q=_action_values(q.grid, padded, theta, phi, jac))

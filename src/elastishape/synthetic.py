@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError
 from .fileio import check_keys, load_json_object
 from .grids import Surface, SphericalGrid, make_grid
-from .regression import RESPONSES, CovariateTable, ModelSpec, design_matrix
+from .regression import _RANGES, RESPONSES, CovariateTable, ModelSpec, design_matrix
 from .shape_stats import ShapeModel
 from .sphharm import harmonic_orders, real_harmonic
 
@@ -257,8 +257,10 @@ def gen_regression_cohort(spec: CohortSpec) -> RegressionCohort:
 
     Surfaces are built from a seeded orthonormal set of shape directions
     around the base shape; responses follow the declared linear rule over
-    the listed terms plus Gaussian noise.  The returned record carries
-    the generating model so a fit can be scored against it.
+    the listed terms plus Gaussian noise, clipped into the response's
+    declared range as a bounded instrument reads it, so a strict
+    `regress` accepts every cohort.  The returned record carries the
+    generating model so a fit can be scored against it.
     """
     grid = make_grid(spec.n_u, spec.n_v)
     mean = gen_surface(
@@ -286,7 +288,6 @@ def gen_regression_cohort(spec: CohortSpec) -> RegressionCohort:
     eps = np.empty(n)
     other = np.empty(n)
     other_name = "ctqtot" if spec.response == "pss" else "pss"
-    other_lo, other_hi = (25.0, 125.0) if other_name == "ctqtot" else (0.0, 42.0)
     for i in range(n):
         rng = np.random.default_rng(streams[1 + i])
         z[i] = rng.standard_normal(k) * spec.score_scale
@@ -294,7 +295,7 @@ def gen_regression_cohort(spec: CohortSpec) -> RegressionCohort:
         bdi[i] = rng.uniform(*spec.bdi_range)
         icv[i] = rng.normal(spec.icv_mean, spec.icv_sd)
         eps[i] = rng.standard_normal()
-        other[i] = rng.uniform(other_lo, other_hi)
+        other[i] = rng.uniform(*_RANGES[other_name])
 
     surfaces = [
         mean.with_points((mean.flat() + directions.T @ z[i]).reshape(mean.points.shape))
@@ -322,7 +323,7 @@ def gen_regression_cohort(spec: CohortSpec) -> RegressionCohort:
         raise ConfigError(f"true_terms invalid: {exc}") from exc
     x, names = design_matrix(tspec, table, scores)
     beta = np.concatenate([[spec.intercept], np.asarray(spec.true_coefficients)])
-    y = x @ beta + spec.noise_sigma * eps
+    y = np.clip(x @ beta + spec.noise_sigma * eps, *_RANGES[spec.response])
     setattr(table, spec.response, y)
     setattr(table, other_name, other)
 

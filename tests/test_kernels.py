@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from elastishape.diffeos import flow_step, jacobian_from_angles, random_diffeo
 from elastishape.grids import (
     _d_du,
+    _pole_padded,
     angles_to_sphere,
     bilinear_sample,
     make_grid,
@@ -229,11 +230,11 @@ def test_action_values_and_objective_are_bit_exact(n):
         theta, phi = _sample_angles(grid, seed)
         jac = jacobian_from_angles(grid, angles_to_sphere(theta, phi))
         jac[2, ::3] = -1e-3  # the clamp at zero
-        assert np.array_equal(_action_values(grid, smooth, theta, phi, jac),
+        assert np.array_equal(_action_values(grid, _pole_padded(smooth), theta, phi, jac),
                               _ref_action_values(grid, smooth, theta, phi, jac))
         image = _seam_image(grid, seed)
         for img in (image, flow_step(image, 0.01 * tangent_basis(image, 3)[3])):
-            value = _action_objective(grid, q1, smooth, img)
+            value = _action_objective(grid, q1, _pole_padded(smooth), img)
             assert value is not None
             assert value == _ref_action_objective(grid, q1, smooth, img)
 
@@ -294,7 +295,8 @@ def test_reparam_gradient_is_bit_exact(n):
     fields = np.concatenate([toward[None], -toward[None], tangent_basis(image, 3)[:4]])
     e_center = _ref_action_objective(grid, q1.q, smooth2, image)
     ref = _ref_basis_gradient(grid, q1.q, smooth2, image, fields, 0.75, e_center, hits)
-    assert np.array_equal(_basis_gradient(grid, q1.q, smooth2, image, fields, 0.75, e_center), ref)
+    got = _basis_gradient(grid, q1.q, _pole_padded(smooth2), image, fields, 0.75, e_center)
+    assert np.array_equal(got, ref)
     assert set(hits) == {"central", "plus", "minus", "skip"}
 
 
@@ -306,11 +308,12 @@ def _mirrored(image):
 
 
 def _check_stack_against_single_maps(grid, q1, smooth, stack):
-    energy, admissible = _stacked_objective(grid, q1, smooth, stack)
+    padded = _pole_padded(smooth)
+    energy, admissible = _stacked_objective(grid, q1, padded, stack)
     assert energy.shape == admissible.shape == (len(stack),)
     assert admissible.dtype == bool
     for m, image in enumerate(stack):
-        value = _action_objective(grid, q1, smooth, image)
+        value = _action_objective(grid, q1, padded, image)
         assert admissible[m] == (value is not None)
         if value is not None:
             assert energy[m] == value
@@ -359,7 +362,8 @@ def test_stacked_objective_property(seed, magnitude, maps, mirror_bits):
 
 
 # A literal copy of the earlier tangent_basis: the ladder identities one
-# order at a time and the fields assembled one (l, m) at a time.
+# order at a time and the fields assembled one (l, m) at a time.  It is
+# now an accuracy oracle for the Cartesian basis, not a bit-exact one.
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -431,14 +435,22 @@ def _ref_tangent_basis(points, max_degree):
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
-def test_tangent_basis_is_bit_exact(n):
+def test_tangent_basis_matches_the_ladder_reference(n):
+    """The reference takes phi = arccos z, which moves a point off a pole
+    by up to eps / (2 sin phi) along its meridian, and the fields vary
+    as degree^2; the Cartesian basis takes no angle.  Over these images
+    the largest deviation at degree 3 is 1.3e-14, 7.5e-14 and 1.1e-13
+    on 16, 32 and 64 (at sin phi 2.3e-3), and at degree 7 it is 8.4e-14,
+    5.1e-13 and 7.2e-13.  The bound degree^2 (2e-15 + 3e-16 / sin phi)
+    has that shape and is at least 2.2 times every deviation measured."""
     grid = make_grid(n, n)
     images = [random_diffeo(grid, seed, 0.5).image for seed in (10, 11)]
     images += [_seam_image(grid, 12), grid.nodes(), _SPECIAL_POINTS]
     for points in images:
-        for degree in (1, 3):
+        sin_phi = np.hypot(points[..., 0], points[..., 1])
+        for degree in range(1, 8):
             got = tangent_basis(points, degree)
             ref = _ref_tangent_basis(points, degree)
             assert got.shape == ref.shape
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            tol = degree**2 * (2e-15 + 3e-16 / np.maximum(sin_phi, 1e-3))
+            assert (np.abs(got - ref).max(axis=(0, -1)) <= tol).all(), degree

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import sph_harm_y
 
-from elastishape import sphharm
+from elastishape import grids, sphharm
 from elastishape.grids import make_grid, sphere_to_angles
 from elastishape.sphharm import (
     harmonic_orders,
@@ -12,6 +18,8 @@ from elastishape.sphharm import (
     real_harmonic_grad,
     tangent_basis,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _gram(grid, max_degree):
@@ -160,18 +168,43 @@ def test_tangent_basis_matches_the_division_formula_off_the_poles():
     assert np.abs(diff[:, off_pole]).max() < 1e-13
 
 
-def test_tangent_basis_makes_one_value_call_per_complex_harmonic(monkeypatch):
-    calls = []
+def test_tangent_basis_takes_no_angles(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tangent_basis took an angle or a harmonic value")
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return sph_harm_y(*args, **kwargs)
+    for name in ("sin", "cos", "tan", "arccos", "arcsin", "arctan2", "exp"):
+        monkeypatch.setattr(np, name, forbidden)
+    monkeypatch.setattr(sphharm, "sph_harm_y", forbidden)
+    monkeypatch.setattr(grids, "sphere_to_angles", forbidden)
+    monkeypatch.setattr(sphharm, "_GRADIENT_TABLES", {})
+    for degree in (1, 3, 7):
+        assert tangent_basis(_unit_points(6, 40), degree).shape == (
+            n_tangent_fields(degree), 40, 3)
+    assert sorted(sphharm._GRADIENT_TABLES) == [1, 3, 7]
 
-    monkeypatch.setattr(sphharm, "sph_harm_y", counting)
-    tangent_basis(_unit_points(6, 40), 3)
-    # Y_l^a for 0 <= a <= l <= 3, values only
-    assert len(calls) == 10
-    assert not any("diff_n" in kwargs for kwargs in calls)
+
+def test_threads_racing_on_a_first_use_get_equal_bases(monkeypatch):
+    monkeypatch.setattr(sphharm, "_GRADIENT_TABLES", {})
+    pts = _unit_points(9, 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(lambda _: tangent_basis(pts, 5), range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(r, results[0]) for r in results)
+    assert list(sphharm._GRADIENT_TABLES) == [5]
+
+
+def test_importing_the_package_builds_no_gradient_table():
+    code = ("import elastishape; from elastishape import sphharm; "
+            "print(len(sphharm._GRADIENT_TABLES))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_numpy_harmonics_match_scipy():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from elastishape.errors import ConfigError
 from elastishape.grids import surface_area
+from elastishape.regression import _RANGES, CovariateTable
 from elastishape.synthetic import (
     CohortSpec,
     gen_pca_cohort,
@@ -138,6 +140,27 @@ def test_regression_cohort_is_deterministic():
     b = gen_regression_cohort(spec)
     assert np.array_equal(a.covariates.pss, b.covariates.pss)
     assert np.array_equal(a.surfaces[3].points, b.surfaces[3].points)
+
+
+@pytest.mark.parametrize("response, intercept", [("pss", 20.0), ("ctqtot", 75.0)])
+def test_regression_response_is_clipped_into_its_declared_range(tmp_path, response, intercept):
+    spec = CohortSpec(n_subjects=200, n_u=8, n_v=8, response=response,
+                      intercept=intercept, noise_sigma=0.0, seed=5)
+    lo, hi = _RANGES[response]
+    clean = getattr(gen_regression_cohort(spec).covariates, response)
+    noisy = gen_regression_cohort(replace(spec, noise_sigma=200.0)).covariates
+    y = getattr(noisy, response)
+    # A bounded instrument: the noise saturates at both ends of the scale...
+    assert y.min() == lo and y.max() == hi
+    # ...and rows inside the range follow the rule plus the same noise draws.
+    inside = (y > lo) & (y < hi)
+    assert inside.any()
+    unit = getattr(gen_regression_cohort(replace(spec, noise_sigma=1.0)).covariates, response)
+    assert_allclose(y[inside], (clean + 200.0 * (unit - clean))[inside], rtol=1e-9)
+    # A strict read of the written table accepts every row.
+    noisy.to_csv(tmp_path / "cov.csv")
+    back = CovariateTable.from_csv(tmp_path / "cov.csv")
+    assert np.array_equal(getattr(back, response), y)
 
 
 def test_label_rules():
