@@ -149,6 +149,20 @@ def _ids(n: int) -> list:
     return [f"s{i:03d}" for i in range(n)]
 
 
+def _load_surfaces(paths) -> list:
+    """Surface files that must share one grid; InputError names the first
+    file whose grid differs from the first file's."""
+    surfaces = [load_surface(p) for p in paths]
+    first = surfaces[0].grid
+    for p, f in zip(paths, surfaces):
+        if not f.grid.same_dims(first):
+            raise InputError(
+                f"{p}: grid {f.grid.n_u}x{f.grid.n_v} does not match "
+                f"{paths[0]} ({first.n_u}x{first.n_v})"
+            )
+    return surfaces
+
+
 def _radial_direction(grid, seed: int, degree: int) -> np.ndarray:
     """Unit flattened direction field: seeded harmonic bumps along the radius."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
@@ -271,8 +285,7 @@ def cmd_simulate(args, cfg):
 def cmd_register(args, cfg):
     """Align one surface to another; write the aligned surface, rotation,
     reparameterization Jacobian field, and objective trace."""
-    f1 = load_surface(args.fixed)
-    f2 = load_surface(args.moving)
+    f1, f2 = _load_surfaces([args.fixed, args.moving])
 
     res = register(f1, f2, RegistrationOpts(**cfg["registration"]))
     u_names = [f"u{i}" for i in range(f1.grid.n_u)]
@@ -287,7 +300,7 @@ def cmd_register(args, cfg):
 
 def cmd_mean(args, cfg):
     """Iterative mean shape of the input surfaces plus the registered set."""
-    surfaces = [load_surface(p) for p in args.surfaces]
+    surfaces = _load_surfaces(args.surfaces)
     init_index = int(cfg["init_index"])
     if not 0 <= init_index < len(surfaces):
         raise ConfigError(
@@ -310,8 +323,7 @@ def cmd_mean(args, cfg):
 
 def cmd_pca(args, cfg):
     """Principal component model of registered surfaces about a mean."""
-    mean = load_surface(args.mean)
-    surfaces = [load_surface(p) for p in args.surfaces]
+    mean, *surfaces = _load_surfaces([args.mean, *args.surfaces])
     cfg.update(use_squared=bool(cfg["use_squared"]), mean=str(args.mean))
 
     model = shape_pca(surfaces, mean)

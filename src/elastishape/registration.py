@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffeos import Diffeo, flow_step, jacobian_from_angles
-from .grids import SphericalGrid, Surface, bilinear_sample, sphere_to_angles
+from .diffeos import Diffeo, flow_step, jacobian_from_angles, pullback
+from .grids import SphericalGrid, Surface, sphere_to_angles
 from .sphharm import tangent_basis
 from .srnf import SrnfField, _action_values, _sampled_field, norm, srnf, srnf_action
 
@@ -287,14 +287,6 @@ def optimize_reparam(
     return Diffeo(grid=grid, image=image), trace
 
 
-def _aligned_surface(
-    f2: Surface, image: np.ndarray, rotation: np.ndarray
-) -> Surface:
-    theta, phi = sphere_to_angles(image)
-    warped = bilinear_sample(f2.grid, f2.points, theta, phi)
-    return Surface(grid=f2.grid, points=warped @ rotation.T)
-
-
 def register(
     f1: Surface, f2: Surface, opts: RegistrationOpts | None = None
 ) -> RegistrationResult:
@@ -315,17 +307,16 @@ def register(
     q2 = srnf(f2)
 
     rotation = optimal_rotation(q1, q2)
-    image = grid.nodes()
-    aligned = _aligned_surface(f2, image, rotation)
+    gamma = Diffeo(grid=grid, image=grid.nodes())
+    aligned = rotate_surface(pullback(f2, gamma), rotation)
     distance = norm(SrnfField(grid=grid, q=q1.q - srnf(aligned).q))
     trace = [distance]
 
-    gamma = Diffeo(grid=grid, image=image)
     for _ in range(opts.rounds):
         q2_rot = SrnfField(grid=grid, q=q2.q @ rotation.T)
         cand_gamma, _ = optimize_reparam(q1, q2_rot, opts, init=gamma)
         cand_rot = optimal_rotation(q1, srnf_action(q2, cand_gamma))
-        cand_aligned = _aligned_surface(f2, cand_gamma.image, cand_rot)
+        cand_aligned = rotate_surface(pullback(f2, cand_gamma), cand_rot)
         cand_dist = norm(SrnfField(grid=grid, q=q1.q - srnf(cand_aligned).q))
         if cand_dist < distance:
             gamma, rotation, aligned, distance = (

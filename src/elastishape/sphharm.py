@@ -6,52 +6,54 @@ low-frequency family of smooth vector fields used both to generate random
 sphere diffeomorphisms and to parameterize reparameterization steps
 during registration.
 
-The basis is computed in Cartesian form, with no angles and no trig.
-For a real orthonormal Y_lm, the solid harmonic R_lm = r^l Y_lm is a
-homogeneous harmonic polynomial of degree l in (x, y, z), and at a unit
-vector s:
+Values, gradients and tangent fields all come from one Cartesian table,
+evaluated at unit vectors with no angles and no trig.  For a real orthonormal Y_lm, the solid
+harmonic R_lm = r^l Y_lm is a homogeneous harmonic polynomial of degree
+l in (x, y, z), and at a unit vector s:
 
+- the value is Y_lm = (s . grad R_lm) / l for l >= 1, by Euler's
+  identity for homogeneous functions (s . grad R = l R); Y_00 is the
+  constant 1 / sqrt(4 pi);
 - the gradient field is grad R - (s . grad R) s, the tangential part of
-  the ambient gradient (s . grad R = l R by Euler's identity);
+  the ambient gradient;
 - the rotated field is s x grad R.
 
 Each grad R_lm is a polynomial of degree l - 1, so every field of degree
 at most L is a fixed coefficient table times the monomials x^a y^b z^c
 with a + b + c <= L - 1.  The table is built once per degree, on first
 use, by polynomial algebra on coefficient arrays (no fitting), from the
-solid form of the recurrence below: sin(phi) e^{i theta} becomes x + iy,
-cos(phi) becomes z, and the two-step term gains a factor r^2.  One basis
-evaluation is then power tables, three gathers for the monomials, one
-matmul, the projection and the cross product, with no division, so the
-fields stay exact at the poles.  `real_harmonic_grad` takes its angular
-derivatives from the same table: d/dtheta = grad R . (-y, x, 0) and
-d/dphi = grad R . (cos phi cos theta, cos phi sin theta, -sin phi).
+associated Legendre recurrence in solid form.  The complex harmonics
+R_l^a of order a >= 0 (Condon-Shortley phase) start from
+R_0^0 = 1 / sqrt(4 pi), and:
 
-Harmonic values (`real_harmonic`) come from ``sph_harm_y``, a numpy
-recurrence for the orthonormal associated Legendre functions
-P_l^a(cos phi) (Condon-Shortley phase), in place of
-``scipy.special.sph_harm_y``: importing scipy costs a process about
-0.3 s and 30 MB, and the registration path needs nothing else from it.
-With x = cos(phi), starting from P_0^0 = 1 / sqrt(4 pi):
+- R_a^a = -sqrt((2a+1)/(2a)) (x + iy) R_{a-1}^{a-1};
+- R_{a+1}^a = sqrt(2a+3) z R_a^a;
+- R_k^a = sqrt((4k^2-1)/(k^2-a^2))
+  [z R_{k-1}^a - sqrt(((k-1)^2-a^2)/(4(k-1)^2-1)) r^2 R_{k-2}^a].
 
-- P_a^a = -sqrt((2a+1)/(2a)) sin(phi) P_{a-1}^{a-1};
-- P_{a+1}^a = sqrt(2a+3) x P_a^a;
-- P_k^a = sqrt((4k^2-1)/(k^2-a^2))
-  [x P_{k-1}^a - sqrt(((k-1)^2-a^2)/(4(k-1)^2-1)) P_{k-2}^a].
-
-Every factor is at most a few units, so nothing overflows and the values
-agree with scipy's to a few ulp.
+Every factor is at most a few units, so nothing overflows.  The real
+harmonic of order m != 0 is sqrt(2) (-1)^m times the real part (m > 0)
+or the imaginary part (m < 0) of R_l^|m|.  One evaluation is then power
+tables, three gathers for the monomials and one matmul; the values,
+projection and cross product that follow divide by no coordinate, so
+they stay exact at the poles.  The values agree with scipy's to a few
+ulp.  `real_harmonic` and `real_harmonic_grad` take their unit vectors
+from the angles (`grids.angles_to_sphere`); the angular derivatives are
+d/dtheta = grad R . (-y, x, 0) and d/dphi = grad R . e_phi, where
+e_phi = ds/dphi is the unit vector at polar angle phi + pi/2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .grids import angles_to_sphere
+
 __all__ = [
-    "sph_harm_y",
     "real_harmonic",
     "real_harmonic_grad",
     "harmonic_orders",
+    "harmonic_values",
     "tangent_basis",
     "n_tangent_fields",
 ]
@@ -63,43 +65,6 @@ _Y00 = np.sqrt(1.0 / (4.0 * np.pi))
 def _check_order(l: int, m: int) -> None:
     if l < 0 or abs(m) > l:
         raise ValueError(f"no spherical harmonic of degree {l} and order {m}")
-
-
-def sph_harm_y(l: int, m: int, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Complex orthonormal Y_l^m at polar angle phi and azimuth theta.
-
-    Condon-Shortley phase, the argument order of scipy.special.sph_harm_y;
-    the associated Legendre recurrence is in the module docstring.
-    Y_l^{-a} = (-1)^a conj(Y_l^a).  Raises ValueError for l < 0 or |m| > l.
-    """
-    _check_order(l, m)
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    a = abs(m)
-    p = np.full(phi.shape, _Y00)
-    if a:
-        s = np.sin(phi)
-        for k in range(1, a + 1):
-            p *= s
-            p *= -np.sqrt((2 * k + 1) / (2 * k))
-    if l > a:
-        x = np.cos(phi)
-        prev, p = p, x * p
-        p *= np.sqrt(2 * a + 3)
-        for k in range(a + 2, l + 1):
-            nxt = x * p
-            prev *= np.sqrt(((k - 1) ** 2 - a * a) / (4 * (k - 1) ** 2 - 1))
-            nxt -= prev
-            nxt *= np.sqrt((4 * k * k - 1) / (k * k - a * a))
-            prev, p = p, nxt
-    y = np.empty(phi.shape, dtype=complex)
-    if a:
-        arg = a * theta
-        np.multiply(p, np.cos(arg), out=y.real)
-        np.multiply(p, np.sin(arg), out=y.imag)
-    else:
-        y.real, y.imag = p, 0.0
-    return (-1.0) ** a * np.conj(y) if m < 0 else y
 
 
 def harmonic_orders(max_degree: int, min_degree: int = 1) -> list[tuple[int, int]]:
@@ -119,9 +84,9 @@ def _solid_harmonics(max_degree: int) -> dict:
     """(l, a) -> r^l Y_l^a for 0 <= a <= l <= max_degree, as coefficients.
 
     Entry [i, j, k] of each complex array is the coefficient of
-    x^i y^j z^k.  The recurrence is the one of `sph_harm_y` in solid
-    form (module docstring).  A product with x, y or z rolls the array
-    along that axis; no term passes max_degree, so the roll wraps zeros.
+    x^i y^j z^k, from the recurrence in the module docstring.  A product
+    with x, y or z rolls the array along that axis; no term passes
+    max_degree, so the roll wraps zeros.
     """
     n = max_degree + 1
     solid = {}
@@ -192,13 +157,44 @@ def _harmonic_gradients(s: np.ndarray, max_degree: int) -> np.ndarray:
     return (table @ monomials).reshape(-1, 3, n)
 
 
+def harmonic_values(points: np.ndarray, max_degree: int) -> np.ndarray:
+    """Every real orthonormal Y_lm of degree 1..max_degree at unit vectors.
+
+    The value counterpart of `tangent_basis`: points (..., 3) give shape
+    (n_fields, ...), in `harmonic_orders(max_degree)` order, each value
+    (s . grad R_lm) / l by Euler's identity (module docstring).
+    ValueError for max_degree < 1.
+    """
+    if max_degree < 1:
+        raise ValueError(f"harmonic values need max_degree >= 1, got {max_degree}")
+    pts = np.asarray(points, dtype=float)
+    s = pts.reshape(-1, 3).T
+    grad = _harmonic_gradients(s, max_degree)
+    values = grad[:, 0] * s[0]
+    values += grad[:, 1] * s[1]
+    values += grad[:, 2] * s[2]
+    degrees = np.arange(1, max_degree + 1)
+    values /= np.repeat(degrees, 2 * degrees + 1)[:, None]
+    return values.reshape(values.shape[:1] + pts.shape[:-1])
+
+
+def _unit_vectors(theta, phi) -> np.ndarray:
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    return angles_to_sphere(theta, phi)
+
+
 def real_harmonic(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Real orthonormal spherical harmonic at azimuth theta, polar angle phi.
 
     Raises ValueError for l < 0 or |m| > l.
     """
-    return _realize(m, sph_harm_y(l, abs(m), np.asarray(phi, dtype=float),
-                                  np.asarray(theta, dtype=float)))
+    _check_order(l, m)
+    s = _unit_vectors(theta, phi)
+    if l == 0:
+        return np.full(s.shape[:-1], _Y00)
+    # (l, m) is entry l^2 + l + m - 1 of harmonic_orders(l).
+    return harmonic_values(s, l)[l * l + l + m - 1]
 
 
 def real_harmonic_grad(
@@ -206,23 +202,19 @@ def real_harmonic_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value plus partial derivatives (d/dtheta, d/dphi) of the real harmonic.
 
-    The derivatives are grad R . (-y, x, 0) and
-    grad R . (cos phi cos theta, cos phi sin theta, -sin phi) with the
+    The derivatives are grad R . (-y, x, 0) and grad R . e_phi with the
     Cartesian gradient of `tangent_basis` (module docstring).
     Raises ValueError for l < 0 or |m| > l.
     """
     value = real_harmonic(l, m, theta, phi)
     if l == 0:
         return value, np.zeros_like(value), np.zeros_like(value)
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                     np.asarray(phi, dtype=float))
-    sin_t, cos_t, sin_p, cos_p = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    x, y = sin_p * cos_t, sin_p * sin_t
-    s = np.stack([x, y, cos_p]).reshape(3, -1)
-    # (l, m) is entry l^2 + l + m - 1 of harmonic_orders(l).
-    gx, gy, gz = _harmonic_gradients(s, l)[l * l + l + m - 1].reshape((3,) + theta.shape)
-    d_theta = x * gy - y * gx
-    d_phi = cos_p * (cos_t * gx + sin_t * gy) - sin_p * gz
+    s = _unit_vectors(theta, phi)
+    e_phi = _unit_vectors(theta, np.add(phi, 0.5 * np.pi))
+    grad = _harmonic_gradients(s.reshape(-1, 3).T, l)[l * l + l + m - 1]
+    gx, gy, gz = grad.reshape((3,) + s.shape[:-1])
+    d_theta = s[..., 0] * gy - s[..., 1] * gx
+    d_phi = e_phi[..., 0] * gx + e_phi[..., 1] * gy + e_phi[..., 2] * gz
     return value, d_theta, d_phi
 
 

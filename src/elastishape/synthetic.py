@@ -16,7 +16,7 @@ from .fileio import check_keys, load_json_object
 from .grids import Surface, SphericalGrid, make_grid
 from .regression import _RANGES, RESPONSES, CovariateTable, ModelSpec, design_matrix
 from .shape_stats import ShapeModel
-from .sphharm import harmonic_orders, real_harmonic
+from .sphharm import harmonic_values
 
 FAMILIES = ("sphere", "ellipsoid", "bumpy-sphere")
 LABEL_RULES = ("score-sign", "half-split")
@@ -146,15 +146,14 @@ def radial_bump(grid: SphericalGrid, degree: int, rng=None) -> np.ndarray:
     """Sum of the real harmonics of degrees 1..max(degree, 1) on the grid
     nodes, (n_v, n_u).
 
-    With an rng each harmonic is weighted by one standard normal draw,
-    taken in `harmonic_orders` order; without one the sum is unweighted.
+    With an rng the harmonics are weighted by one standard_normal draw of
+    their count, in `harmonic_orders` order (the same numbers as one
+    scalar draw per harmonic); without one the sum is unweighted.
     """
-    th, ph = np.meshgrid(grid.theta, grid.phi)
-    bump = np.zeros_like(th)
-    for l, m in harmonic_orders(max(degree, 1)):
-        c = 1.0 if rng is None else rng.standard_normal()
-        bump += c * real_harmonic(l, m, th, ph)
-    return bump
+    values = harmonic_values(grid.nodes(), max(degree, 1))
+    n = values.shape[0]
+    weights = np.ones(n) if rng is None else rng.standard_normal(n)
+    return (weights @ values.reshape(n, -1)).reshape(values.shape[1:])
 
 
 def gen_surface(

@@ -227,6 +227,23 @@ def test_scores_grid_mismatch_exits_3(workspace, tmp_path, capsys):
     assert "grid does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["register", "mean", "pca"])
+def test_surfaces_on_different_grids_exit_3(workspace, tmp_path, capsys, command):
+    small = tmp_path / "small.surf"
+    save_surface(gen_surface("sphere", make_grid(8, 8)), small)
+    base = str(workspace / "base.surf")
+    args = {
+        "register": [base, str(small)],
+        "mean": [base, str(workspace / "member_0.surf"), str(small)],
+        "pca": ["--mean", base, str(workspace / "member_0.surf"), str(small)],
+    }[command]
+    out = tmp_path / "o"
+    assert main([command, *args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{small}: grid 8x8 does not match" in err
+    assert not out.exists()
+
+
 def test_scores_depth_out_of_range_exits_2(workspace, tmp_path, capsys):
     code = main(
         [

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import sph_harm_y
 
 from elastishape.diffeos import flow_step, jacobian_from_angles, random_diffeo
 from elastishape.grids import (
@@ -27,7 +28,7 @@ from elastishape.registration import (
     _stacked_objective,
     reparam_gradient,
 )
-from elastishape.sphharm import harmonic_orders, sph_harm_y, tangent_basis
+from elastishape.sphharm import harmonic_orders, tangent_basis
 from elastishape.srnf import SrnfField, _action_values, _pole_smoothed
 
 
@@ -436,13 +437,15 @@ def _ref_tangent_basis(points, max_degree):
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_tangent_basis_matches_the_ladder_reference(n):
-    """The reference takes phi = arccos z, which moves a point off a pole
-    by up to eps / (2 sin phi) along its meridian, and the fields vary
-    as degree^2; the Cartesian basis takes no angle.  Over these images
-    the largest deviation at degree 3 is 1.3e-14, 7.5e-14 and 1.1e-13
-    on 16, 32 and 64 (at sin phi 2.3e-3), and at degree 7 it is 8.4e-14,
+    """The reference takes its harmonic values from scipy.special.sph_harm_y
+    at phi = arccos z, which moves a point off a pole by up to
+    eps / (2 sin phi) along its meridian, and the fields vary as
+    degree^2; the Cartesian basis takes no angle.  Over these images the
+    largest deviation at degree 3 is 1.3e-14, 7.5e-14 and 1.1e-13 on 16,
+    32 and 64 (at sin phi 2.3e-3), and at degree 7 it is 8.4e-14,
     5.1e-13 and 7.2e-13.  The bound degree^2 (2e-15 + 3e-16 / sin phi)
-    has that shape and is at least 2.2 times every deviation measured."""
+    has that shape, and the largest deviation measured is 0.456 of it
+    (the bound is 2.19 times every deviation)."""
     grid = make_grid(n, n)
     images = [random_diffeo(grid, seed, 0.5).image for seed in (10, 11)]
     images += [_seam_image(grid, 12), grid.nodes(), _SPECIAL_POINTS]

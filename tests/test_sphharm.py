@@ -13,6 +13,7 @@ from elastishape import grids, sphharm
 from elastishape.grids import make_grid, sphere_to_angles
 from elastishape.sphharm import (
     harmonic_orders,
+    harmonic_values,
     n_tangent_fields,
     real_harmonic,
     real_harmonic_grad,
@@ -174,7 +175,6 @@ def test_tangent_basis_takes_no_angles(monkeypatch):
 
     for name in ("sin", "cos", "tan", "arccos", "arcsin", "arctan2", "exp"):
         monkeypatch.setattr(np, name, forbidden)
-    monkeypatch.setattr(sphharm, "sph_harm_y", forbidden)
     monkeypatch.setattr(grids, "sphere_to_angles", forbidden)
     monkeypatch.setattr(sphharm, "_GRADIENT_TABLES", {})
     for degree in (1, 3, 7):
@@ -215,15 +215,24 @@ def test_numpy_harmonics_match_scipy():
                          rng.uniform(0.0, 2.0 * np.pi, size=extra.size)])
     for l in range(9):
         for m in range(-l, l + 1):
-            got = sphharm.sph_harm_y(l, m, ph, th)
-            assert np.abs(got - sph_harm_y(l, m, ph, th)).max() < 1e-13, (l, m)
+            got = real_harmonic(l, m, th, ph)
+            assert np.abs(got - _scipy_real_grad(l, m, th, ph)[0]).max() < 1e-13, (l, m)
+
+
+def test_harmonic_values_keep_the_point_shape():
+    pts = _unit_points(12, 35).reshape(5, 7, 3)
+    values = harmonic_values(pts, 3)
+    assert values.shape == (15, 5, 7)
+    theta, phi = sphere_to_angles(pts)
+    for k, (l, m) in enumerate(harmonic_orders(3)):
+        assert np.abs(values[k] - _scipy_real_grad(l, m, theta, phi)[0]).max() < 1e-13
+    with pytest.raises(ValueError):
+        harmonic_values(pts, 0)
 
 
 @pytest.mark.parametrize("l, m", [(1, 2), (1, -2), (-1, 0), (0, 1)])
 def test_invalid_harmonic_orders_raise(l, m):
     th, ph = np.array([0.3, 1.0]), np.array([0.5, 2.0])
-    with pytest.raises(ValueError):
-        sphharm.sph_harm_y(l, m, ph, th)
     with pytest.raises(ValueError):
         real_harmonic(l, m, th, ph)
     with pytest.raises(ValueError):
