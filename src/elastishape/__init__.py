@@ -6,150 +6,58 @@ reparameterization, and registered over rotations and sphere
 diffeomorphisms.  On top of the registration sit mean shapes, principal
 component models, score regressions, and a vertex-wise baseline
 pipeline for comparison.
+
+Importing the package loads none of its submodules, so a command
+process loads only the modules its command runs (see `cli`).  The
+first access to a public name or a submodule name (PEP 562) imports
+every submodule of `_PUBLIC` and binds all of its names at once.
 """
 
-from .errors import (
-    ConfigError,
-    InputError,
-    NumericalError,
-    OrientationError,
-    ParseError,
-    RankDeficiencyError,
-    ZeroAreaError,
-)
-from .grids import (
-    SphericalGrid,
-    Surface,
-    make_grid,
-    normal_field,
-    normalize,
-    surface_area,
-)
-from .srnf import SrnfField, inner, norm, srnf, srnf_action
-from .diffeos import (
-    Diffeo,
-    compose,
-    identity_diffeo,
-    jacobian_det,
-    pullback,
-    random_diffeo,
-)
-from .registration import (
-    RegistrationOpts,
-    RegistrationResult,
-    optimal_rotation,
-    optimize_reparam,
-    register,
-)
-from .shape_stats import (
-    KarcherResult,
-    ShapeModel,
-    cumulative_variance,
-    diff_field,
-    geodesic,
-    karcher_mean,
-    pc_path,
-    pc_scores,
-    reconstruct,
-    register_cohort,
-    shape_pca,
-)
-from .regression import (
-    CovariateTable,
-    ModelSpec,
-    RegressionFit,
-    StepwiseResult,
-    design_matrix,
-    ols_fit,
-    run_model_suite,
-    stepwise_bidirectional,
-)
-from .baseline import (
-    IcpResult,
-    MdsResult,
-    PointModel,
-    class_distances,
-    classical_mds,
-    icp_register,
-    knn_accuracy,
-    vertex_pca,
-)
-from .fileio import (
-    export_obj,
-    load_model,
-    load_surface,
-    save_model,
-    save_surface,
-)
-from .synthetic import (
-    CohortSpec,
-    gen_pca_cohort,
-    gen_regression_cohort,
-    gen_surface,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "InputError",
-    "NumericalError",
-    "OrientationError",
-    "ParseError",
-    "RankDeficiencyError",
-    "ZeroAreaError",
-    "SphericalGrid",
-    "Surface",
-    "make_grid",
-    "normal_field",
-    "normalize",
-    "surface_area",
-    "SrnfField",
-    "inner",
-    "norm",
-    "srnf",
-    "srnf_action",
-    "Diffeo",
-    "compose",
-    "identity_diffeo",
-    "jacobian_det",
-    "pullback",
-    "random_diffeo",
-    "RegistrationOpts",
-    "RegistrationResult",
-    "optimal_rotation",
-    "optimize_reparam",
-    "register",
-    "KarcherResult",
-    "ShapeModel",
-    "cumulative_variance",
-    "diff_field",
-    "geodesic",
-    "karcher_mean",
-    "pc_path",
-    "pc_scores",
-    "reconstruct",
-    "register_cohort",
-    "shape_pca",
-    "CovariateTable",
-    "ModelSpec",
-    "RegressionFit",
-    "StepwiseResult",
-    "design_matrix",
-    "ols_fit",
-    "run_model_suite",
-    "stepwise_bidirectional",
-    "IcpResult",
-    "MdsResult",
-    "PointModel",
-    "class_distances",
-    "classical_mds",
-    "icp_register",
-    "knn_accuracy",
-    "vertex_pca",
-    "CohortSpec",
-    "gen_pca_cohort",
-    "gen_regression_cohort",
-    "gen_surface",
-]
+# Submodule -> the public names the package binds from it.  All but the
+# file-format names make up `__all__`.
+_PUBLIC = {
+    "errors": ("ConfigError", "InputError", "NumericalError", "OrientationError",
+               "ParseError", "RankDeficiencyError", "ZeroAreaError"),
+    "grids": ("SphericalGrid", "Surface", "make_grid", "normal_field", "normalize",
+              "surface_area"),
+    "srnf": ("SrnfField", "inner", "norm", "srnf", "srnf_action"),
+    "diffeos": ("Diffeo", "compose", "identity_diffeo", "jacobian_det", "pullback",
+                "random_diffeo"),
+    "sphharm": (),
+    "registration": ("RegistrationOpts", "RegistrationResult", "optimal_rotation",
+                     "optimize_reparam", "register"),
+    "shape_stats": ("KarcherResult", "ShapeModel", "cumulative_variance", "diff_field",
+                    "geodesic", "karcher_mean", "pc_path", "pc_scores", "reconstruct",
+                    "register_cohort", "shape_pca"),
+    "regression": ("CovariateTable", "ModelSpec", "RegressionFit", "StepwiseResult",
+                   "design_matrix", "ols_fit", "run_model_suite",
+                   "stepwise_bidirectional"),
+    "baseline": ("IcpResult", "MdsResult", "PointModel", "class_distances",
+                 "classical_mds", "icp_register", "knn_accuracy", "vertex_pca"),
+    "fileio": ("export_obj", "load_model", "load_surface", "save_model", "save_surface"),
+    "synthetic": ("CohortSpec", "gen_pca_cohort", "gen_regression_cohort",
+                  "gen_surface"),
+}
+
+__all__ = ["__version__", *(name for module, names in _PUBLIC.items()
+                            if module != "fileio" for name in names)]
+
+_LAZY = {*_PUBLIC, *(name for names in _PUBLIC.values() for name in names)}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    for module, names in _PUBLIC.items():
+        mod = importlib.import_module(f".{module}", __name__)
+        namespace.update((n, getattr(mod, n)) for n in names)
+    return namespace[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

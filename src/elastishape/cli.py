@@ -16,6 +16,14 @@ export-path take no other common flag.
 Exit codes: 0 success, 2 configuration error, 3 input error (a missing,
 malformed or inconsistent input file: surface, model or CSV table), 4
 numerical failure.
+
+At import the module loads only the standard library, numpy, `errors`
+and `fileio`, whose CSV and JSON readers load no geometry.  Each command
+body imports what it runs, so `--version` loads no other package module
+and `regress` adds `regression` alone, not the registration stack.  The
+imports are function-local, not module globals set on first use, so
+code that wraps module functions for the length of a run (a tracer)
+leaves none of its wrappers behind in this module.
 """
 
 from __future__ import annotations
@@ -28,19 +36,11 @@ import sys
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
-from .baseline import (
-    class_distances,
-    classical_mds,
-    icp_register,
-    knn_accuracy,
-    vertex_pca,
-)
-from .diffeos import jacobian_det, pullback, random_diffeo
 from .errors import ConfigError, InputError, NumericalError
 from .fileio import (
     check_keys,
@@ -56,21 +56,10 @@ from .fileio import (
     write_csv,
     write_matrix_csv,
 )
-from .grids import make_grid
-from .regression import CovariateTable, run_model_suite
-from .registration import RegistrationOpts, register
-from .shape_stats import (
-    cumulative_variance,
-    diff_field,
-    karcher_mean,
-    pc_path,
-    pc_scores,
-    reconstruct,
-    register_cohort,
-    shape_pca,
-)
-from .srnf import srnf
-from .synthetic import gen_pca_cohort, gen_surface, radial_bump
+
+if TYPE_CHECKING:
+    from .regression import CovariateTable
+    from .registration import RegistrationOpts
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +89,10 @@ _CMP_DEFAULTS = {
     "registration": {"max_iters": 40, "rounds": 2, "tol_rel": 1e-4},
 }
 
+# Config keys whose values must be integers (a bool is not one).
+_INT_KEYS = ("n_subjects", "n_per_class", "flow_degree", "seed", "init_index",
+             "n_ps", "n_interact_ps")
+
 # Successive mean-shape seeds tried before a bump amplitude is rejected.
 _MEAN_SEED_ATTEMPTS = 8
 
@@ -119,6 +112,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _reg_opts(overrides: dict) -> RegistrationOpts:
+    from .registration import RegistrationOpts
+
     allowed = {f.name for f in dataclass_fields(RegistrationOpts)}
     check_keys(overrides, allowed, "registration options")
     try:
@@ -142,7 +137,7 @@ def _write_manifest(out: Path, command: str, config: dict, inputs, outputs) -> N
         "outputs": sorted(outputs),
     }
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    (out / "manifest.json").write_text(text + "\n")
+    (out / "manifest.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _ids(n: int) -> list:
@@ -165,6 +160,8 @@ def _load_surfaces(paths) -> list:
 
 def _radial_direction(grid, seed: int, degree: int) -> np.ndarray:
     """Unit flattened direction field: seeded harmonic bumps along the radius."""
+    from .synthetic import radial_bump
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     bump = radial_bump(grid, degree, rng)
     v = (bump[..., None] * grid.nodes()).reshape(-1)
@@ -186,6 +183,8 @@ def _shape_line_cohort(grid, seed: int, n: int, displacement: float,
     states whose bumps keep the radius positive; after
     _MEAN_SEED_ATTEMPTS states the last ConfigError is raised.
     """
+    from .synthetic import gen_pca_cohort, gen_surface
+
     for mean_seed in np.random.SeedSequence([seed, 5]).generate_state(_MEAN_SEED_ATTEMPTS):
         try:
             mean = gen_surface(
@@ -219,10 +218,13 @@ def _pairwise_field_dist(fields: list) -> np.ndarray:
 def _perturbed_cohort(cfg: dict, n: int, displacement: float, salt: int):
     """The shape-line cohort of a simulate or compare config, and each of
     its subjects reparameterized by a seeded random diffeomorphism."""
+    from .diffeos import pullback, random_diffeo
+    from .grids import make_grid
+
     grid = make_grid(*_parse_grid(cfg["grid"]))
     mean, cohort = _shape_line_cohort(
         grid, cfg["seed"], n, displacement,
-        float(cfg["mean_amplitude"]), int(cfg["flow_degree"]),
+        float(cfg["mean_amplitude"]), cfg["flow_degree"],
     )
     seeds = np.random.SeedSequence([cfg["seed"], salt]).generate_state(n)
     magnitude = float(cfg["perturb_magnitude"])
@@ -252,7 +254,12 @@ def cmd_simulate(args, cfg):
     mean.  Writes a distance matrix and MDS coordinates per stage plus
     the 1-NN accuracy summary.
     """
-    n = int(cfg["n_subjects"])
+    from .baseline import classical_mds, knn_accuracy
+    from .registration import RegistrationOpts
+    from .shape_stats import register_cohort
+    from .srnf import srnf
+
+    n = cfg["n_subjects"]
     if n < 4:
         raise ConfigError("n_subjects must be at least 4")
 
@@ -285,6 +292,9 @@ def cmd_simulate(args, cfg):
 def cmd_register(args, cfg):
     """Align one surface to another; write the aligned surface, rotation,
     reparameterization Jacobian field, and objective trace."""
+    from .diffeos import jacobian_det
+    from .registration import RegistrationOpts, register
+
     f1, f2 = _load_surfaces([args.fixed, args.moving])
 
     res = register(f1, f2, RegistrationOpts(**cfg["registration"]))
@@ -300,8 +310,11 @@ def cmd_register(args, cfg):
 
 def cmd_mean(args, cfg):
     """Iterative mean shape of the input surfaces plus the registered set."""
+    from .registration import RegistrationOpts
+    from .shape_stats import karcher_mean
+
     surfaces = _load_surfaces(args.surfaces)
-    init_index = int(cfg["init_index"])
+    init_index = cfg["init_index"]
     if not 0 <= init_index < len(surfaces):
         raise ConfigError(
             f"init_index {init_index} out of range for {len(surfaces)} surfaces"
@@ -323,6 +336,8 @@ def cmd_mean(args, cfg):
 
 def cmd_pca(args, cfg):
     """Principal component model of registered surfaces about a mean."""
+    from .shape_stats import cumulative_variance, shape_pca
+
     mean, *surfaces = _load_surfaces([args.mean, *args.surfaces])
     cfg.update(use_squared=bool(cfg["use_squared"]), mean=str(args.mean))
 
@@ -343,6 +358,8 @@ def cmd_pca(args, cfg):
 def cmd_scores(args, cfg):
     """Principal scores of surfaces under a saved model, with the
     reconstruction error at the chosen depth."""
+    from .shape_stats import pc_scores, reconstruct
+
     model = load_model(args.model)
     depth = args.depth if args.depth else model.n_directions
     if not 1 <= depth <= model.n_directions:
@@ -381,6 +398,8 @@ def cmd_scores(args, cfg):
 def cmd_export_path(args, cfg):
     """Mesh frames along one principal direction with per-node difference
     fields against the mean."""
+    from .shape_stats import diff_field, pc_path
+
     model = load_model(args.model)
     k = args.component
     if k < 1:
@@ -434,6 +453,8 @@ def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
 
 def cmd_regress(args, cfg):
     """Stepwise model suite over covariates and per-structure scores."""
+    from .regression import CovariateTable, run_model_suite
+
     scores_map = dict(cfg["scores"])
     for entry in args.scores or []:
         if "=" not in entry:
@@ -448,14 +469,14 @@ def cmd_regress(args, cfg):
     cov = CovariateTable.from_csv(args.covariates, strict=strict)
     scores = {s: _read_scores_csv(p, cov) for s, p in sorted(scores_map.items())}
     available = min(m.shape[1] for m in scores.values())
-    n_ps = int(_pick(args.n_ps, cfg["n_ps"], min(15, available)))
+    n_ps = _pick(args.n_ps, cfg["n_ps"], min(15, available))
     if n_ps < 1:
         raise ConfigError(f"n_ps must be at least 1, got {n_ps}")
     if n_ps > available:
         raise InputError(
             f"n_ps {n_ps} exceeds available score columns ({available})"
         )
-    n_interact = int(_pick(args.n_interact_ps, cfg["n_interact_ps"], min(5, n_ps)))
+    n_interact = _pick(args.n_interact_ps, cfg["n_interact_ps"], min(5, n_ps))
     if not 0 <= n_interact <= n_ps:
         raise ConfigError(f"n_interact_ps must lie in 0..n_ps, got {n_interact}")
     cfg.update(scores={s: str(p) for s, p in scores_map.items()}, criterion=criterion,
@@ -498,7 +519,11 @@ def cmd_compare(args, cfg):
     a seeded random reparameterization, then scores both pipelines with
     the inter/intra class distances and cumulative variance curves.
     """
-    m = int(cfg["n_per_class"])
+    from .baseline import class_distances, icp_register, vertex_pca
+    from .registration import RegistrationOpts
+    from .shape_stats import cumulative_variance, register_cohort, shape_pca
+
+    m = cfg["n_per_class"]
     if m < 2:
         raise ConfigError("n_per_class must be at least 2")
     n = 2 * m
@@ -633,9 +658,14 @@ def _resolve(cmd: _Command, args) -> dict:
     loaded = {} if args.config is None else load_json_object(args.config)
     cfg = {**cmd.defaults, **loaded}
     check_keys(cfg, cmd.defaults, f"{args.command} config")
+    for key in _INT_KEYS:
+        value = cfg.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(
+                f"{args.command} config: {key} must be an integer, got {value!r}"
+            )
     if "seed" in cmd.flags:
-        seed = _pick(args.seed, cfg.get("seed"))
-        cfg["seed"] = None if seed is None else int(seed)
+        cfg["seed"] = _pick(args.seed, cfg.get("seed"))
     if "threads" in cmd.flags:
         cfg["threads"] = args.threads
     if "grid" in cmd.flags:

@@ -9,14 +9,20 @@ missing, non-integer or negative, raises `ParseError`.
 
 A table is CSV: a header row, then one record per LF-ended line, fields
 quoted only where needed (a term such as ``ps(shape,1)`` holds a comma),
-floats as ``%.17g`` and other values as ``str``.  The reader also takes
-CRLF.  It raises `ParseError` naming the file and line for an empty
-file, no data rows, a row whose field count differs from the header's,
-a repeated id, and a required number that is ``not numeric`` or ``not
-finite`` (``line N, field 'X': not finite ('nan')``).
+floats as ``%.17g`` and other values as ``str``, written as UTF-8.  The
+reader also takes CRLF and a leading UTF-8 byte order mark, as
+spreadsheet programs write one.  It raises `ParseError` naming the file
+and line for an empty file, no data rows, a row whose field count
+differs from the header's, a repeated id, and a required number that is
+``not numeric`` or ``not finite`` (``line N, field 'X': not finite
+('nan')``).
 
-A JSON config is one object with known keys; a missing file, invalid
-JSON, another top-level value or an unknown key raises `ConfigError`.
+A JSON config is one UTF-8 object with known keys, with or without a
+byte order mark; a missing file, invalid JSON, another top-level value
+or an unknown key raises `ConfigError`.
+
+The CSV and JSON readers load no geometry: `grids` and `shape_stats`
+are imported by the surface and model readers that build their types.
 """
 
 from __future__ import annotations
@@ -27,12 +33,15 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .grids import Surface, make_grid
-from .shape_stats import ShapeModel
+
+if TYPE_CHECKING:
+    from .grids import Surface
+    from .shape_stats import ShapeModel
 
 SURFACE_MAGIC = b"ESHSURF1"
 MODEL_MAGIC = b"ESHMODL1"
@@ -70,7 +79,7 @@ def load_json_object(path) -> dict:
     """The top-level object of a JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except IsADirectoryError as exc:
@@ -99,6 +108,8 @@ def _int_fields(doc: dict, keys, origin) -> list:
 
 
 def _surface_from_fields(n_u, n_v, flat: np.ndarray, origin) -> Surface:
+    from .grids import Surface, make_grid
+
     expected = 3 * n_u * n_v
     if flat.size != expected:
         raise ParseError(
@@ -162,7 +173,7 @@ def save_surface(f: Surface, path, binary: bool | None = None) -> None:
             "n_v": f.grid.n_v,
             "points": [float(x) for x in f.flat()],
         }
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def export_obj(f: Surface, path) -> None:
@@ -189,7 +200,7 @@ def export_obj(f: Surface, path) -> None:
         lines.append(f"f {vid(0, 0)} {vid(0, i + 1)} {vid(0, i)}")
     for i in range(1, n_u - 1):
         lines.append(f"f {vid(n_v - 1, 0)} {vid(n_v - 1, i)} {vid(n_v - 1, i + 1)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_model(model: ShapeModel, path) -> None:
@@ -214,6 +225,8 @@ def save_model(model: ShapeModel, path) -> None:
 
 
 def load_model(path) -> ShapeModel:
+    from .shape_stats import ShapeModel
+
     path = Path(path)
     raw = path.read_bytes()
     if raw[:8] != MODEL_MAGIC:
@@ -252,7 +265,7 @@ def write_csv(path, header, rows) -> None:
     for i, record in enumerate(records, start=1):
         if len(record) != len(header):
             raise ValueError(f"{path}: row {i} has {len(record)} fields for {len(header)} columns")
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(records)
@@ -277,7 +290,7 @@ def read_csv(path) -> CsvTable:
     """Read a table and check its shape (errors: see the module docstring)."""
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             records = list(csv.reader(fh))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: not a readable CSV table ({exc})") from exc

@@ -61,9 +61,11 @@ STENCIL_STACK_BYTES = 96 * 1024
 class RegistrationOpts:
     """Tuning knobs for the reparameterization search and alternation.
 
-    Raises ValueError for values that would silently disable or break the
-    search: basis_degree < 1, negative max_iters, rounds or tol_rel,
-    grad_step <= 0, or steps outside 0 < step_floor <= step_init <= step_max.
+    Raises ValueError for a max_iters, rounds or basis_degree that is not
+    an integer (a bool is not), and for values that would silently
+    disable or break the search: basis_degree < 1, negative max_iters,
+    rounds or tol_rel, grad_step <= 0, or steps outside
+    0 < step_floor <= step_init <= step_max.
     """
 
     max_iters: int = 100
@@ -76,6 +78,10 @@ class RegistrationOpts:
     step_floor: float = 1e-8
 
     def __post_init__(self):
+        for name in ("max_iters", "basis_degree", "rounds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.basis_degree < 1:
             raise ValueError(f"basis_degree must be >= 1, got {self.basis_degree}")
         if self.max_iters < 0 or self.rounds < 0:

@@ -121,13 +121,23 @@ def test_unknown_config_key_exits_2(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "reg",
-    [{"basis_degree": 0}, {"max_iters": -3, "rounds": -1, "grad_step": -1}],
+    [
+        {"registration": {"basis_degree": 0}},
+        {"registration": {"max_iters": -3, "rounds": -1, "grad_step": -1}},
+        {"registration": {"max_iters": 2.5}},
+        {"registration": {"max_iters": True}},
+        {"registration": {"rounds": 1.0}},
+        {"n_subjects": 4.7},
+        {"flow_degree": True},
+        {"seed": 1.5},
+    ],
 )
 def test_registration_options_that_disable_the_search_exit_2(tmp_path, capsys, reg):
-    cfg = _write_config(tmp_path, {"n_subjects": 4, "registration": reg})
+    # reg: top-level config entries; the error names the first bad key
+    cfg = _write_config(tmp_path, {"n_subjects": 4, **reg})
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--grid", "16x16", "--out", str(out)]) == 2
-    assert "registration options" in capsys.readouterr().err
+    assert next(iter(reg.get("registration", reg))) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -340,6 +350,49 @@ def test_regress_command(regress_inputs, tmp_path, capsys):
     assert [int(r[0]) for r in rows] == list(range(1, 11))
     assert (out / "selected_terms.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["criterion"] == "bic"
+
+
+def _regress_tables(cov, scores, out, *flags):
+    """Runs regress; returns its exit code and the two tables it wrote."""
+    code = main(["regress", "--covariates", str(cov), "--scores", f"shape={scores}",
+                 "--out", str(out), *flags])
+    if code:
+        return code, None
+    return code, [(out / name).read_bytes() for name in ("models.csv", "selected_terms.csv")]
+
+
+def _with_bom(src, dst):
+    """Copies a UTF-8 text file with a byte order mark in front, as Excel's
+    "CSV UTF-8" format saves one."""
+    dst.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    return dst
+
+
+def test_regress_reads_a_covariate_table_with_a_bom(regress_inputs, tmp_path):
+    cov, scores = regress_inputs / "cov.csv", regress_inputs / "scores.csv"
+    expected = _regress_tables(cov, scores, tmp_path / "a")
+    assert expected[0] == 0
+    assert _regress_tables(_with_bom(cov, tmp_path / "cov.csv"), scores,
+                           tmp_path / "b") == expected
+
+
+def test_regress_reads_a_score_table_with_a_bom(regress_inputs, tmp_path):
+    cov, scores = regress_inputs / "cov.csv", regress_inputs / "scores.csv"
+    expected = _regress_tables(cov, scores, tmp_path / "a")
+    assert expected[0] == 0
+    assert _regress_tables(cov, _with_bom(scores, tmp_path / "scores.csv"),
+                           tmp_path / "b") == expected
+
+
+def test_regress_reads_a_json_config_with_a_bom(regress_inputs, tmp_path):
+    cov, scores = regress_inputs / "cov.csv", regress_inputs / "scores.csv"
+    cfg = _write_config(tmp_path, {"criterion": "bic"})
+    expected = _regress_tables(cov, scores, tmp_path / "a", "--config", cfg)
+    assert expected[0] == 0
+    bom_cfg = _with_bom(tmp_path / "cfg.json", tmp_path / "bom.json")
+    assert _regress_tables(cov, scores, tmp_path / "b", "--config", str(bom_cfg)) == expected
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["config"]["criterion"] == "bic"
 
 

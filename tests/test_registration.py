@@ -203,6 +203,11 @@ def test_register_rejects_mismatched_grids(grid16, grid32):
         {"step_init": 1e-9},
         {"step_init": 0.9},
         {"step_max": 0.05},
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"rounds": 2.0},
+        {"basis_degree": 3.5},
+        {"basis_degree": True},
     ],
 )
 def test_registration_opts_reject_values_that_disable_the_search(bad):
