@@ -59,7 +59,7 @@ class IcpResult:
     rms_trace: list = field(default_factory=list)
 
 
-def icp_register(fixed, moving, max_iters: int = ICP_MAX_ITERS, tol: float = ICP_TOL) -> IcpResult:
+def icp_register(fixed, moving) -> IcpResult:
     """Iterative closest point: rigidly align moving onto fixed.
 
     Both clouds are pre-centered on their means before iteration starts,
@@ -67,7 +67,7 @@ def icp_register(fixed, moving, max_iters: int = ICP_MAX_ITERS, tol: float = ICP
     correspondences sane for well-separated inputs.  Each iteration
     matches every moving point to its nearest fixed point (k-d tree),
     solves the best rigid transform for those pairs, and applies it.
-    Stops when the RMS change drops below tol or after max_iters.
+    Stops when the RMS change drops below ICP_TOL or after ICP_MAX_ITERS.
     """
     from scipy.spatial import cKDTree  # imported here: only ICP needs scipy
 
@@ -81,7 +81,7 @@ def icp_register(fixed, moving, max_iters: int = ICP_MAX_ITERS, tol: float = ICP
     rotation = np.eye(3)
     rms_trace = []
     prev_rms = None
-    for _ in range(max_iters):
+    for _ in range(ICP_MAX_ITERS):
         _, idx = tree.query(current)
         targets = (fixed - mu_f)[idx]
         rot, trans = _best_rigid(current, targets)
@@ -90,7 +90,7 @@ def icp_register(fixed, moving, max_iters: int = ICP_MAX_ITERS, tol: float = ICP
         resid = current - targets
         rms = float(np.sqrt((resid * resid).sum(axis=1).mean()))
         rms_trace.append(rms)
-        if prev_rms is not None and abs(prev_rms - rms) < tol:
+        if prev_rms is not None and abs(prev_rms - rms) < ICP_TOL:
             break
         prev_rms = rms
 

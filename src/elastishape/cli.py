@@ -89,9 +89,11 @@ _CMP_DEFAULTS = {
     "registration": {"max_iters": 40, "rounds": 2, "tol_rel": 1e-4},
 }
 
-# Config keys whose values must be integers (a bool is not one).
+# Config keys whose values must be integers, and numbers (finite, as the JSON
+# reader checks); a bool is neither, and null only where it is the default.
 _INT_KEYS = ("n_subjects", "n_per_class", "flow_degree", "seed", "init_index",
              "n_ps", "n_interact_ps")
+_FLOAT_KEYS = ("displacement", "mean_amplitude", "perturb_magnitude", "amplitude")
 
 # Successive mean-shape seeds tried before a bump amplitude is rejected.
 _MEAN_SEED_ATTEMPTS = 8
@@ -201,7 +203,7 @@ def _shape_line_cohort(grid, seed: int, n: int, displacement: float,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
     mags = (0.5 + 0.5 * rng.random(n)) * displacement
     coeffs = np.where(np.arange(n) < half, mags, -mags)
-    return mean, gen_pca_cohort(mean, direction, n, seed, coefficients=coeffs)
+    return mean, gen_pca_cohort(mean, direction, coeffs)
 
 
 def _pairwise_field_dist(fields: list) -> np.ndarray:
@@ -460,6 +462,9 @@ def cmd_regress(args, cfg):
         if "=" not in entry:
             raise ConfigError(f"--scores needs STRUCT=PATH, got '{entry}'")
         struct, path = entry.split("=", 1)
+        if not struct or any(c in struct for c in ",()"):  # as in ps(shape,1)
+            raise ConfigError(f"--scores '{entry}': structure name must be nonempty, "
+                              "without ',', '(' or ')'")
         scores_map[struct] = path
     if not scores_map:
         raise ConfigError("no score tables (use --scores STRUCT=PATH or config)")
@@ -658,12 +663,13 @@ def _resolve(cmd: _Command, args) -> dict:
     loaded = {} if args.config is None else load_json_object(args.config)
     cfg = {**cmd.defaults, **loaded}
     check_keys(cfg, cmd.defaults, f"{args.command} config")
-    for key in _INT_KEYS:
+    for key in (*_INT_KEYS, *_FLOAT_KEYS):
         value = cfg.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(
-                f"{args.command} config: {key} must be an integer, got {value!r}"
-            )
+        if key not in cfg or (value is None and cmd.defaults[key] is None):
+            continue
+        kind, types = ("an integer", int) if key in _INT_KEYS else ("a number", (int, float))
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{args.command} config: {key} must be {kind}, got {value!r}")
     if "seed" in cmd.flags:
         cfg["seed"] = _pick(args.seed, cfg.get("seed"))
     if "threads" in cmd.flags:

@@ -39,6 +39,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 RANDOM_FLOW_COUNT = 5
+RANDOM_FLOW_DEGREE = 3
 _MAX_RETRIES = 10
 
 
@@ -145,20 +146,19 @@ def flow_step(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     return moved
 
 
-def random_diffeo(
-    grid: SphericalGrid, seed: int, magnitude: float, max_degree: int = 3
-) -> Diffeo:
+def random_diffeo(grid: SphericalGrid, seed: int, magnitude: float) -> Diffeo:
     """Random smooth diffeomorphism built from seeded harmonic flows.
 
     Composes RANDOM_FLOW_COUNT small flows.  Each flow draws one normal
-    coefficient per tangent-basis field and is then rescaled so its
-    largest pointwise displacement is magnitude / RANDOM_FLOW_COUNT, so
-    magnitude bounds the total angular displacement.  If the result
-    fails the orientation check the magnitude is halved and the draw
-    repeated, up to 10 times; each retry is logged at INFO with the seed
-    and the new magnitude, since the map then moves less than asked.
+    coefficient per tangent-basis field of degree up to RANDOM_FLOW_DEGREE
+    and is then rescaled so its largest pointwise displacement is
+    magnitude / RANDOM_FLOW_COUNT, so magnitude bounds the total angular
+    displacement.  If the result fails the orientation check the magnitude
+    is halved and the draw repeated, up to 10 times; each retry is logged
+    at INFO with the seed and the new magnitude, since the map then moves
+    less than asked.
 
-    Deterministic for a fixed (seed, magnitude, max_degree, grid).
+    Deterministic for a fixed (seed, magnitude, grid).
     """
     rng = np.random.default_rng(seed)
     base = grid.nodes()
@@ -169,7 +169,7 @@ def random_diffeo(
             logger.info("random diffeo seed %d folded; retrying at magnitude %g", seed, mag)
         pts = base
         for _k in range(RANDOM_FLOW_COUNT):
-            fields = tangent_basis(pts, max_degree)
+            fields = tangent_basis(pts, RANDOM_FLOW_DEGREE)
             coeffs = rng.normal(size=fields.shape[0])
             velocity = np.tensordot(coeffs, fields, axes=1)
             speed = np.sqrt((velocity * velocity).sum(axis=-1)).max()

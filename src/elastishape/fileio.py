@@ -4,8 +4,9 @@ tables and JSON configs.
 Surface files store raw grid samples (no triangulation); a triangulation
 exists only in the OBJ export.  The binary variants use a 16-byte
 magic+dims header followed by little-endian float64 payloads, and all
-round trips are bit exact.  A grid below 8x8, or a header field that is
-missing, non-integer or negative, raises `ParseError`.
+round trips are bit exact.  A grid below 8x8, a header field that is
+missing, non-integer or negative, or a stored number that is not finite
+raises `ParseError` naming the file and the field.
 
 A table is CSV: a header row, then one record per LF-ended line, fields
 quoted only where needed (a term such as ``ps(shape,1)`` holds a comma),
@@ -19,7 +20,8 @@ differs from the header's, a repeated id, and a required number that is
 
 A JSON config is one UTF-8 object with known keys, with or without a
 byte order mark; a missing file, invalid JSON, another top-level value
-or an unknown key raises `ConfigError`.
+or an unknown key raises `ConfigError`, as does a number that is not
+finite (NaN, Infinity, 1e400); the error names the key that holds it.
 
 The CSV and JSON readers load no geometry: `grids` and `shape_stats`
 are imported by the surface and model readers that build their types.
@@ -64,11 +66,29 @@ __all__ = [
 ]
 
 
+# What the JSON reader makes of a number that is not finite: NaN and
+# Infinity, which json reads by default but JSON does not have, or 1e400.
+_NOT_FINITE = object()
+
+
+def _finite_float(text: str):
+    value = float(text)
+    return value if math.isfinite(value) else _NOT_FINITE
+
+
+def _checked_pairs(pairs) -> dict:
+    for key, value in pairs:
+        if value is _NOT_FINITE or isinstance(value, list) and _NOT_FINITE in value:
+            raise ValueError(f"key '{key}': not a finite number")
+    return dict(pairs)
+
+
 def _json_object(data, origin, error) -> dict:
     """The top-level object of a JSON text; `error` if there is none."""
     try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(data, parse_float=_finite_float, parse_constant=_finite_float,
+                         object_pairs_hook=_checked_pairs)
+    except ValueError as exc:  # also a decode error or a number that is not finite
         raise error(f"{origin}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise error(f"{origin}: top level must be a JSON object")
@@ -107,15 +127,22 @@ def _int_fields(doc: dict, keys, origin) -> list:
     return values
 
 
-def _surface_from_fields(n_u, n_v, flat: np.ndarray, origin) -> Surface:
+def _finite(values: np.ndarray, origin, name) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ParseError(f"{origin}: field '{name}' holds non-finite values")
+    return values
+
+
+def _surface_from_fields(n_u, n_v, flat: np.ndarray, origin, name="points") -> Surface:
     from .grids import Surface, make_grid
 
     expected = 3 * n_u * n_v
     if flat.size != expected:
         raise ParseError(
-            f"{origin}: field 'points' has {flat.size} values, "
+            f"{origin}: field '{name}' has {flat.size} values, "
             f"expected 3*n_u*n_v = {expected}"
         )
+    _finite(flat, origin, name)
     try:
         grid = make_grid(n_u, n_v)
     except ValueError as exc:
@@ -158,12 +185,10 @@ def load_surface(path) -> Surface:
     return _load_surface_json(path, raw)
 
 
-def save_surface(f: Surface, path, binary: bool | None = None) -> None:
-    """Write a surface; binary defaults to True unless the path ends in .json."""
+def save_surface(f: Surface, path) -> None:
+    """Write a surface: JSON if the path ends in .json, else binary."""
     path = Path(path)
-    if binary is None:
-        binary = path.suffix.lower() != ".json"
-    if binary:
+    if path.suffix.lower() != ".json":
         header = SURFACE_MAGIC + struct.pack("<II", f.grid.n_u, f.grid.n_v)
         payload = np.ascontiguousarray(f.flat(), dtype="<f8").tobytes()
         path.write_bytes(header + payload)
@@ -243,9 +268,10 @@ def load_model(path) -> ShapeModel:
     if len(raw) != need:
         raise ParseError(f"{path}: model payload size mismatch")
     body = np.frombuffer(raw[12 + header_len :], dtype="<f8").astype(float)
-    mean = _surface_from_fields(n_u, n_v, body[:flat_len], path)
-    singulars = body[flat_len : flat_len + n_dirs]
-    directions = body[flat_len + n_dirs :].reshape(n_dirs, flat_len)
+    mean = _surface_from_fields(n_u, n_v, body[:flat_len], path, "mean")
+    singulars = _finite(body[flat_len : flat_len + n_dirs], path, "singulars")
+    directions = _finite(body[flat_len + n_dirs :], path, "directions")
+    directions = directions.reshape(n_dirs, flat_len)
     return ShapeModel(
         mean=mean, directions=directions, singulars=singulars, n_train=n_train
     )

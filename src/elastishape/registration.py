@@ -6,17 +6,17 @@ diffeomorphisms gamma.  Rotations have a closed-form Procrustes solution;
 the diffeomorphism is found by gradient descent over the coefficients of
 a tangent-field basis, accumulating one small flow per accepted step so
 every iterate remains a valid diffeomorphism.  The basis holds the
-surface gradients of the real harmonics of degree 1 to basis_degree and
+surface gradients of the real harmonics of degree 1 to BASIS_DEGREE and
 their rotations s x grad Y (`sphharm.tangent_basis`), evaluated at the
 current image once per iteration from one cached polynomial table.
 The pole-smoothed target field is padded for sampling once per search
 (`srnf._sampled_field`).
 
 The gradient is a centered finite-difference stencil: two objective
-evaluations per basis field.  Those maps are evaluated as stacks of shape
-(maps, n_v, n_u, 3): the flow step, the image angles, the orientation
-check, the sampled action and the residual sums each take one numpy call
-per stack instead of one per map, while the area Jacobian, from
+evaluations per basis field, at +-GRAD_STEP.  Those maps are evaluated as
+stacks of shape (maps, n_v, n_u, 3): the flow step, the image angles, the
+orientation check, the sampled action and the residual sums each take one
+numpy call per stack instead of one per map, while the area Jacobian, from
 Cartesian differences of each image (`diffeos.jacobian_from_angles`),
 runs map by map.  The one Jacobian serves both the orientation check
 and the action's sqrt(J sin phi_grid) factor.  Every product of a
@@ -56,47 +56,40 @@ __all__ = [
 # stencil: 4 maps at 32x32, 16 at 16x16, and the one +/- pair at 64x64.
 STENCIL_STACK_BYTES = 96 * 1024
 
+# Highest harmonic degree of the tangent basis: 30 fields.
+BASIS_DEGREE = 3
+# Flow length of the gradient's centered difference along each field.
+GRAD_STEP = 1e-4
+# Line-search step length: first trial, cap when doubling, floor when halving.
+STEP_INIT = 0.1
+STEP_MAX = 0.8
+STEP_FLOOR = 1e-8
+
 
 @dataclass
 class RegistrationOpts:
-    """Tuning knobs for the reparameterization search and alternation.
+    """Budget of the reparameterization search and the alternation; the
+    rest of the search is module constants.
 
-    Raises ValueError for a max_iters, rounds or basis_degree that is not
-    an integer (a bool is not), and for values that would silently
-    disable or break the search: basis_degree < 1, negative max_iters,
-    rounds or tol_rel, grad_step <= 0, or steps outside
-    0 < step_floor <= step_init <= step_max.
+    Raises ValueError for a max_iters or rounds that is not an integer (a
+    bool is not) or is negative, and for a negative or NaN tol_rel.
     """
 
     max_iters: int = 100
     tol_rel: float = 1e-5
-    basis_degree: int = 3
     rounds: int = 3
-    grad_step: float = 1e-4
-    step_init: float = 0.1
-    step_max: float = 0.8
-    step_floor: float = 1e-8
 
     def __post_init__(self):
-        for name in ("max_iters", "basis_degree", "rounds"):
+        for name in ("max_iters", "rounds"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.basis_degree < 1:
-            raise ValueError(f"basis_degree must be >= 1, got {self.basis_degree}")
         if self.max_iters < 0 or self.rounds < 0:
             raise ValueError(
                 f"max_iters and rounds must be >= 0, got {self.max_iters} and {self.rounds}"
             )
         if not self.tol_rel >= 0.0:
             raise ValueError(f"tol_rel must be >= 0, got {self.tol_rel}")
-        if not self.grad_step > 0.0:
-            raise ValueError(f"grad_step must be > 0, got {self.grad_step}")
-        if not 0.0 < self.step_floor <= self.step_init <= self.step_max:
-            raise ValueError(
-                "steps must satisfy 0 < step_floor <= step_init <= step_max, got "
-                f"{self.step_floor}, {self.step_init}, {self.step_max}"
-            )
 
 
 @dataclass
@@ -208,21 +201,15 @@ def _basis_gradient(grid, q1, padded2, image, fields, h, e_center):
     return grad
 
 
-def reparam_gradient(
-    q1: SrnfField,
-    q2: SrnfField,
-    image: np.ndarray,
-    basis_degree: int = 3,
-    grad_step: float = 1e-4,
-) -> np.ndarray:
+def reparam_gradient(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> np.ndarray:
     """The optimizer's gradient of E over basis coefficients at an image."""
     grid = q1.grid
     padded2 = _sampled_field(q2.grid, q2.q)
     e0 = _action_objective(grid, q1.q, padded2, image)
     if e0 is None:
         raise ValueError("image is not orientation preserving")
-    fields = tangent_basis(image, basis_degree)
-    return _basis_gradient(grid, q1.q, padded2, image, fields, grad_step, e0)
+    fields = tangent_basis(image, BASIS_DEGREE)
+    return _basis_gradient(grid, q1.q, padded2, image, fields, GRAD_STEP, e0)
 
 
 def optimize_reparam(
@@ -259,12 +246,10 @@ def optimize_reparam(
     if energy <= 1e-20 * scale:
         return Diffeo(grid=grid, image=image), trace
 
-    step = opts.step_init
+    step = STEP_INIT
     for _ in range(opts.max_iters):
-        fields = tangent_basis(image, opts.basis_degree)
-        grad = _basis_gradient(
-            grid, q1.q, padded2, image, fields, opts.grad_step, energy
-        )
+        fields = tangent_basis(image, BASIS_DEGREE)
+        grad = _basis_gradient(grid, q1.q, padded2, image, fields, GRAD_STEP, energy)
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
             break
@@ -272,7 +257,7 @@ def optimize_reparam(
 
         candidate = None
         cand_energy = None
-        while step >= opts.step_floor:
+        while step >= STEP_FLOOR:
             velocity = np.tensordot(step * direction, fields, axes=1)
             moved = flow_step(image, velocity)
             e_cand = _action_objective(grid, q1.q, padded2, moved)
@@ -286,7 +271,7 @@ def optimize_reparam(
         rel = (energy - cand_energy) / max(energy, 1e-300)
         image, energy = candidate, cand_energy
         trace.append(energy)
-        step = min(step * 2.0, opts.step_max)
+        step = min(step * 2.0, STEP_MAX)
         if rel < opts.tol_rel:
             break
 

@@ -197,20 +197,11 @@ def gen_surface(
     raise ConfigError(f"unknown family '{family}' (one of {FAMILIES})")
 
 
-def gen_pca_cohort(
-    mean: Surface,
-    direction: np.ndarray,
-    n: int,
-    seed: int,
-    coefficients=None,
-    scale: float = 1.0,
-) -> PcaCohort:
+def gen_pca_cohort(mean: Surface, direction: np.ndarray, coefficients) -> PcaCohort:
     """Cohort on a single principal line: f_i = mean + x_i * direction.
 
-    The first half of the subjects sits on the positive side and the
-    second half on the negative side; magnitudes are uniform on
-    (0, scale].  Pass explicit ``coefficients`` to override the random
-    law (signs and all).  Labels record the side (1 for x > 0 else 0).
+    One subject per coefficient x_i, in order, with direction a unit
+    vector; labels record the side (1 for x > 0 else 0).
     """
     direction = np.asarray(direction, dtype=float)
     if direction.shape != mean.flat().shape:
@@ -221,19 +212,9 @@ def gen_pca_cohort(
     nrm = float(np.linalg.norm(direction))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"direction must be unit length (norm {nrm:.3e})")
-    if coefficients is not None:
-        x = np.asarray(coefficients, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"need {n} coefficients, got shape {x.shape}")
-    else:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        n_pos = (n + 1) // 2
-        children = np.random.SeedSequence(seed).spawn(n)
-        x = np.empty(n)
-        for i in range(n):
-            mag = scale * (1.0 - np.random.default_rng(children[i]).random())
-            x[i] = mag if i < n_pos else -mag
+    x = np.asarray(coefficients, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"coefficients must be one-dimensional, got shape {x.shape}")
     base = mean.flat()
     shape = mean.points.shape
     surfaces = [

@@ -103,33 +103,45 @@ def test_register_missing_file_exits_3(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(workspace, tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"registration": FAST_REG, "bogus": 1})
-    code = main(
-        [
-            "register",
-            str(workspace / "base.surf"),
-            str(workspace / "rotated.surf"),
-            "--config",
-            cfg,
-            "--out",
-            str(tmp_path / "o"),
-        ]
-    )
-    assert code == 2
-    assert "unknown keys" in capsys.readouterr().err
+    # The basis degree and the gradient step are constants, not options.
+    for payload in ({"registration": FAST_REG, "bogus": 1},
+                    {"registration": {"grad_step": 1e-4}},
+                    {"registration": {"basis_degree": 3}}):
+        cfg = _write_config(tmp_path, payload)
+        code = main(
+            [
+                "register",
+                str(workspace / "base.surf"),
+                str(workspace / "rotated.surf"),
+                "--config",
+                cfg,
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2, payload
+        assert "unknown keys" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
     "reg",
     [
         {"registration": {"basis_degree": 0}},
-        {"registration": {"max_iters": -3, "rounds": -1, "grad_step": -1}},
+        {"registration": {"max_iters": -3, "rounds": -1}},
         {"registration": {"max_iters": 2.5}},
         {"registration": {"max_iters": True}},
         {"registration": {"rounds": 1.0}},
         {"n_subjects": 4.7},
         {"flow_degree": True},
         {"seed": 1.5},
+        {"perturb_magnitude": float("nan")},
+        {"displacement": float("inf")},
+        {"registration": {"tol_rel": float("inf")}},
+        {"displacement": "abc"},
+        {"mean_amplitude": True},
+        {"perturb_magnitude": None},
+        {"n_subjects": None},
     ],
 )
 def test_registration_options_that_disable_the_search_exit_2(tmp_path, capsys, reg):
@@ -416,6 +428,12 @@ def test_regress_score_argument_validation(regress_inputs, tmp_path, capsys):
     assert "n_ps must be at least 1" in err
     assert "n_interact_ps must lie in" in err
     assert not (tmp_path / "c").exists()
+    table = regress_inputs / "scores.csv"
+    for entry in (f"={table}", f"a,b={table}", f"ps(x={table}", f"x)={table}"):
+        assert main(["regress", "--covariates", cov, "--scores", entry,
+                     "--out", str(tmp_path / "e")]) == 2, entry
+        assert f"--scores '{entry}': structure name" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_directory_paths_exit_with_a_message(regress_inputs, tmp_path, capsys):
@@ -566,6 +584,47 @@ def test_scores_with_a_malformed_model_exits_3(workspace, tmp_path, capsys, head
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert str(model) in capsys.readouterr().err
+
+
+def _with_nan(src, dst, offset):
+    """A copy of a binary file with the float64 at offset set to NaN."""
+    raw = bytearray(src.read_bytes())
+    offset %= len(raw)
+    raw[offset:offset + 8] = struct.pack("<d", float("nan"))
+    dst.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "command, name, field",
+    [("register", "nan.json", "points"), ("register", "nan.surf", "points"),
+     ("pca", "nan.surf", "points"), ("scores", "nan.eshm", "directions"),
+     ("export-path", "nan.eshm", "directions"), ("scores", "nan.eshm", "mean")],
+)
+def test_a_non_finite_number_in_an_input_file_exits_3(workspace, tmp_path, capsys,
+                                                      command, name, field):
+    base, member = workspace / "base.surf", str(workspace / "member_0.surf")
+    bad = tmp_path / name
+    if name == "nan.json":
+        points = [float(x) for x in load_surface(base).flat()]
+        points[5] = float("nan")
+        bad.write_text(json.dumps({"n_u": 16, "n_v": 16, "points": points}))
+    elif name == "nan.surf":
+        _with_nan(base, bad, 16 + 8 * 5)
+    else:
+        model = workspace / "pca-out" / "model.eshm"
+        (header_len,) = struct.unpack("<I", model.read_bytes()[8:12])
+        _with_nan(model, bad, -8 if field == "directions" else 12 + header_len)
+    args = {
+        "register": [str(base), str(bad)],
+        "pca": ["--mean", str(base), member, str(bad)],
+        "scores": ["--model", str(bad), member],
+        "export-path": ["--model", str(bad)],
+    }[command]
+    out = tmp_path / "o"
+    assert main([command, *args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and f"'{field}'" in err
+    assert not out.exists()
 
 
 def test_simulate_small_run(tmp_path, capsys):

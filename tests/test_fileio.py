@@ -50,11 +50,14 @@ def test_surface_binary_round_trip_is_exact(surface, tmp_path):
 
 
 def test_format_sniffing_ignores_extension(surface, tmp_path):
-    path = tmp_path / "noext"
-    save_surface(surface, path, binary=True)
-    assert np.array_equal(load_surface(path).points, surface.points)
-    save_surface(surface, path, binary=False)
-    assert_allclose(load_surface(path).points, surface.points, atol=1e-15)
+    # The writer picks the format by suffix; the reader by content alone.
+    for name, magic in (("f.surf", True), ("noext", True), ("f.json", False),
+                        ("F.JSON", False)):
+        written = tmp_path / name
+        save_surface(surface, written)
+        assert (written.read_bytes()[:8] == SURFACE_MAGIC) == magic, name
+        renamed = written.rename(tmp_path / f"moved_{name}.bin")
+        assert_allclose(load_surface(renamed).points, surface.points, atol=1e-15)
 
 
 def test_missing_field_names_the_field(tmp_path):
@@ -188,6 +191,11 @@ def test_json_object_loader(tmp_path):
         load_json_object(path)
     path.write_text('{"a": [1, 2]}')
     assert load_json_object(path) == {"a": [1, 2]}
+    # JSON has no NaN or Infinity, and 1e400 overflows to one.
+    for text in ('{"a": NaN}', '{"b": {"a": -Infinity}}', '{"a": [1, 1e400]}'):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="key 'a': not a finite number"):
+            load_json_object(path)
 
 
 def test_write_csv_format(tmp_path):

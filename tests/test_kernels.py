@@ -282,13 +282,20 @@ def test_reparam_gradient_is_bit_exact(n):
     q2 = SrnfField(grid=grid, q=rng.standard_normal((n, n, 3)))
     smooth2 = _pole_smoothed(grid, q2.q)
     hits = Counter()
-    # The default step at the seam image, then a strongly warped image and
-    # a coarse step under which some pairs fold over on both sides.
-    for image, h in ((_seam_image(grid, 5), 1e-4), (random_diffeo(grid, 2, 1.0).image, 0.5)):
-        fields = tangent_basis(image, 3)
-        e_center = _ref_action_objective(grid, q1.q, smooth2, image)
-        ref = _ref_basis_gradient(grid, q1.q, smooth2, image, fields, h, e_center, hits)
-        assert np.array_equal(reparam_gradient(q1, q2, image, 3, h), ref)
+    # The optimizer's gradient at the seam image: GRAD_STEP, degree 3.
+    image = _seam_image(grid, 5)
+    e_center = _ref_action_objective(grid, q1.q, smooth2, image)
+    ref = _ref_basis_gradient(grid, q1.q, smooth2, image, tangent_basis(image, 3), 1e-4,
+                              e_center, hits)
+    assert np.array_equal(reparam_gradient(q1, q2, image), ref)
+    # A strongly warped image and a coarse step under which some pairs fold
+    # over on both sides.
+    image = random_diffeo(grid, 2, 1.0).image
+    fields = tangent_basis(image, 3)
+    e_center = _ref_action_objective(grid, q1.q, smooth2, image)
+    ref = _ref_basis_gradient(grid, q1.q, smooth2, image, fields, 0.5, e_center, hits)
+    got = _basis_gradient(grid, q1.q, _pole_padded(smooth2), image, fields, 0.5, e_center)
+    assert np.array_equal(got, ref)
     # Steps folding on one side only: h * toward passes the mirror plane
     # for h = 0.75, and -h * toward stretches the image away from it.
     image = random_diffeo(grid, 3, 0.5).image

@@ -55,16 +55,13 @@ def test_pca_cohort_layout(grid16):
     rng = np.random.default_rng(0)
     direction = rng.standard_normal(mean.flat().shape[0])
     direction /= np.linalg.norm(direction)
-    cohort = gen_pca_cohort(mean, direction, 9, seed=13, scale=0.5)
-    assert len(cohort.surfaces) == 9
-    x = cohort.coefficients
-    assert (x[:5] > 0).all() and (x[5:] < 0).all()
-    assert np.abs(x).max() <= 0.5
-    assert_allclose(cohort.labels, (x > 0).astype(int))
+    x = np.array([0.5, 0.1, 0.3, -0.2, -0.4])
+    cohort = gen_pca_cohort(mean, direction, x)
+    assert len(cohort.surfaces) == 5
+    assert np.array_equal(cohort.coefficients, x)
+    assert_allclose(cohort.labels, [1, 1, 1, 0, 0])
     for xi, f in zip(x, cohort.surfaces):
         assert_allclose(f.flat(), mean.flat() + xi * direction, atol=1e-12)
-    again = gen_pca_cohort(mean, direction, 9, seed=13, scale=0.5)
-    assert np.array_equal(again.coefficients, x)
 
 
 def test_pca_cohort_explicit_coefficients(grid16):
@@ -72,12 +69,12 @@ def test_pca_cohort_explicit_coefficients(grid16):
     direction = np.zeros(mean.flat().shape[0])
     direction[0] = 1.0
     coeffs = np.array([0.3, -0.2, 0.1])
-    cohort = gen_pca_cohort(mean, direction, 3, seed=0, coefficients=coeffs)
+    cohort = gen_pca_cohort(mean, direction, coeffs)
     assert np.array_equal(cohort.coefficients, coeffs)
     with pytest.raises(ValueError, match="unit"):
-        gen_pca_cohort(mean, 2.0 * direction, 3, seed=0)
+        gen_pca_cohort(mean, 2.0 * direction, coeffs)
     with pytest.raises(ValueError, match="coefficients"):
-        gen_pca_cohort(mean, direction, 4, seed=0, coefficients=coeffs)
+        gen_pca_cohort(mean, direction, coeffs[None])
 
 
 def test_cohort_spec_validation():
