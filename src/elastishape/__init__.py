@@ -25,14 +25,13 @@ _PUBLIC = {
     "grids": ("SphericalGrid", "Surface", "make_grid", "normal_field", "normalize",
               "surface_area"),
     "srnf": ("SrnfField", "inner", "norm", "srnf", "srnf_action"),
-    "diffeos": ("Diffeo", "compose", "identity_diffeo", "jacobian_det", "pullback",
-                "random_diffeo"),
+    "diffeos": ("Diffeo", "identity_diffeo", "jacobian_det", "pullback", "random_diffeo"),
     "sphharm": (),
     "registration": ("RegistrationOpts", "RegistrationResult", "optimal_rotation",
                      "optimize_reparam", "register"),
     "shape_stats": ("KarcherResult", "ShapeModel", "cumulative_variance", "diff_field",
-                    "geodesic", "karcher_mean", "pc_path", "pc_scores", "reconstruct",
-                    "register_cohort", "shape_pca"),
+                    "karcher_mean", "pc_path", "pc_scores", "reconstruct", "register_cohort",
+                    "shape_pca"),
     "regression": ("CovariateTable", "ModelSpec", "RegressionFit", "StepwiseResult",
                    "design_matrix", "ols_fit", "run_model_suite",
                    "stepwise_bidirectional"),

@@ -89,11 +89,13 @@ _CMP_DEFAULTS = {
     "registration": {"max_iters": 40, "rounds": 2, "tol_rel": 1e-4},
 }
 
-# Config keys whose values must be integers, and numbers (finite, as the JSON
-# reader checks); a bool is neither, and null only where it is the default.
+# Config keys whose values must be integers, numbers (finite, as the JSON
+# reader checks) and JSON booleans.  A bool counts as neither of the first
+# two, and null is allowed only where it is the default.
 _INT_KEYS = ("n_subjects", "n_per_class", "flow_degree", "seed", "init_index",
              "n_ps", "n_interact_ps")
 _FLOAT_KEYS = ("displacement", "mean_amplitude", "perturb_magnitude", "amplitude")
+_BOOL_KEYS = ("strict", "use_squared")
 
 # Successive mean-shape seeds tried before a bump amplitude is rejected.
 _MEAN_SEED_ATTEMPTS = 8
@@ -341,7 +343,7 @@ def cmd_pca(args, cfg):
     from .shape_stats import cumulative_variance, shape_pca
 
     mean, *surfaces = _load_surfaces([args.mean, *args.surfaces])
-    cfg.update(use_squared=bool(cfg["use_squared"]), mean=str(args.mean))
+    cfg.update(mean=str(args.mean))
 
     model = shape_pca(surfaces, mean)
     cv = cumulative_variance(model, use_squared=cfg["use_squared"])
@@ -457,19 +459,27 @@ def cmd_regress(args, cfg):
     """Stepwise model suite over covariates and per-structure scores."""
     from .regression import CovariateTable, run_model_suite
 
-    scores_map = dict(cfg["scores"])
+    if not isinstance(cfg["scores"], dict):
+        raise ConfigError("regress config: scores must be an object of structure names "
+                          f"and score table paths, got {cfg['scores']!r}")
+    # (where, structure name, path): the config's entries, then the flags'.
+    entries = [(f"regress config: scores key {s!r}", s, p) for s, p in cfg["scores"].items()]
     for entry in args.scores or []:
         if "=" not in entry:
             raise ConfigError(f"--scores needs STRUCT=PATH, got '{entry}'")
-        struct, path = entry.split("=", 1)
+        entries.append((f"--scores '{entry}'", *entry.split("=", 1)))
+    scores_map = {}
+    for where, struct, path in entries:
         if not struct or any(c in struct for c in ",()"):  # as in ps(shape,1)
-            raise ConfigError(f"--scores '{entry}': structure name must be nonempty, "
+            raise ConfigError(f"{where}: structure name must be nonempty, "
                               "without ',', '(' or ')'")
+        if not isinstance(path, str):
+            raise ConfigError(f"{where}: the path must be a string, got {path!r}")
         scores_map[struct] = path
     if not scores_map:
         raise ConfigError("no score tables (use --scores STRUCT=PATH or config)")
     criterion = _pick(args.criterion, cfg["criterion"])
-    strict = bool(cfg["strict"]) and not args.lenient
+    strict = cfg["strict"] and not args.lenient
 
     cov = CovariateTable.from_csv(args.covariates, strict=strict)
     scores = {s: _read_scores_csv(p, cov) for s, p in sorted(scores_map.items())}
@@ -484,7 +494,7 @@ def cmd_regress(args, cfg):
     n_interact = _pick(args.n_interact_ps, cfg["n_interact_ps"], min(5, n_ps))
     if not 0 <= n_interact <= n_ps:
         raise ConfigError(f"n_interact_ps must lie in 0..n_ps, got {n_interact}")
-    cfg.update(scores={s: str(p) for s, p in scores_map.items()}, criterion=criterion,
+    cfg.update(scores=scores_map, criterion=criterion,
                n_ps=n_ps, n_interact_ps=n_interact, strict=strict,
                covariates=str(args.covariates))
 
@@ -663,12 +673,16 @@ def _resolve(cmd: _Command, args) -> dict:
     loaded = {} if args.config is None else load_json_object(args.config)
     cfg = {**cmd.defaults, **loaded}
     check_keys(cfg, cmd.defaults, f"{args.command} config")
-    for key in (*_INT_KEYS, *_FLOAT_KEYS):
+    for key in (*_INT_KEYS, *_FLOAT_KEYS, *_BOOL_KEYS):
         value = cfg.get(key)
         if key not in cfg or (value is None and cmd.defaults[key] is None):
             continue
-        kind, types = ("an integer", int) if key in _INT_KEYS else ("a number", (int, float))
-        if isinstance(value, bool) or not isinstance(value, types):
+        if key in _BOOL_KEYS:
+            kind, valid = "true or false", isinstance(value, bool)
+        else:
+            kind, types = ("an integer", int) if key in _INT_KEYS else ("a number", (int, float))
+            valid = isinstance(value, types) and not isinstance(value, bool)
+        if not valid:
             raise ConfigError(f"{args.command} config: {key} must be {kind}, got {value!r}")
     if "seed" in cmd.flags:
         cfg["seed"] = _pick(args.seed, cfg.get("seed"))

@@ -29,7 +29,6 @@ from .sphharm import tangent_basis
 __all__ = [
     "Diffeo",
     "identity_diffeo",
-    "compose",
     "jacobian_det",
     "random_diffeo",
     "pullback",
@@ -107,23 +106,6 @@ def jacobian_from_angles(grid: SphericalGrid, image: np.ndarray) -> np.ndarray:
 def jacobian_det(g: Diffeo) -> np.ndarray:
     """Per-node Jacobian determinant, area-ratio convention (identity -> 1)."""
     return jacobian_from_angles(g.grid, g.image)
-
-
-def compose(g1: Diffeo, g2: Diffeo) -> Diffeo:
-    """Composition (g1 after g2): s -> g1(g2(s)), by spherical interpolation.
-
-    Raises OrientationError when the composed map has a non-positive
-    Jacobian determinant at any node.
-    """
-    if not g1.grid.same_dims(g2.grid):
-        raise ValueError("diffeos must share grid dimensions")
-    theta, phi = sphere_to_angles(g2.image)
-    img = bilinear_sample(g1.grid, g1.image, theta, phi)
-    img = img / np.sqrt((img * img).sum(axis=-1))[..., None]
-    out = Diffeo(grid=g1.grid, image=img)
-    if jacobian_det(out).min() <= 0.0:
-        raise OrientationError("composed map is not orientation preserving")
-    return out
 
 
 def pullback(f: Surface, g: Diffeo) -> Surface:

@@ -62,7 +62,6 @@ __all__ = [
     "read_csv",
     "numeric_columns",
     "id_column",
-    "read_matrix_csv",
 ]
 
 
@@ -369,9 +368,3 @@ def id_column(table: CsvTable, j: int) -> list:
             )
         line_of[row[j]] = line
     return list(line_of)
-
-
-def read_matrix_csv(path) -> tuple[list, np.ndarray]:
-    """Read back a header + numeric matrix table."""
-    table = read_csv(path)
-    return table.header, np.column_stack(numeric_columns(table, range(len(table.header))))

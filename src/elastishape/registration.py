@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffeos import Diffeo, flow_step, jacobian_from_angles, pullback
+from .diffeos import Diffeo, flow_step, identity_diffeo, jacobian_from_angles, pullback
 from .grids import SphericalGrid, Surface, sphere_to_angles
 from .sphharm import tangent_basis
 from .srnf import SrnfField, _action_values, _sampled_field, norm, srnf, srnf_action
@@ -298,7 +298,7 @@ def register(
     q2 = srnf(f2)
 
     rotation = optimal_rotation(q1, q2)
-    gamma = Diffeo(grid=grid, image=grid.nodes())
+    gamma = identity_diffeo(grid)
     aligned = rotate_surface(pullback(f2, gamma), rotation)
     distance = norm(SrnfField(grid=grid, q=q1.q - srnf(aligned).q))
     trace = [distance]

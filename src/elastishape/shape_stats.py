@@ -1,9 +1,9 @@
 """Statistics on registered surface cohorts.
 
-Linear geodesic interpolation between registered surfaces, the iterative
-mean-shape algorithm, principal component analysis of surface deviations
-with scores, reconstruction, cumulative variance, and deformation paths
-along principal directions.
+Registration of a cohort to one template, the iterative mean-shape
+algorithm, principal component analysis of surface deviations with
+scores, reconstruction, cumulative variance, and deformation paths along
+principal directions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ KARCHER_OUTER_ITERS = 5
 __all__ = [
     "ShapeModel",
     "KarcherResult",
-    "geodesic",
     "register_cohort",
     "karcher_mean",
     "shape_pca",
@@ -61,17 +60,6 @@ class KarcherResult:
     registered: list
     init_index: int
     variance_trace: list = field(default_factory=list)
-
-
-def geodesic(f1: Surface, f2_star: Surface, tau: float) -> Surface:
-    """Point on the linear path between registered surfaces at time tau."""
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if not f1.grid.same_dims(f2_star.grid):
-        raise ValueError("surfaces must share grid dimensions")
-    return Surface(
-        grid=f1.grid, points=(1.0 - tau) * f1.points + tau * f2_star.points
-    )
 
 
 def register_cohort(

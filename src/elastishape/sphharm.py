@@ -4,7 +4,8 @@ The tangent basis pairs the surface gradients of the real harmonics with
 their rotated counterparts (s x grad Y), giving a standard complete
 low-frequency family of smooth vector fields used both to generate random
 sphere diffeomorphisms and to parameterize reparameterization steps
-during registration.
+during registration.  `harmonic_values` gives the harmonics themselves,
+of degree 1 and up, for the bumps of the synthetic shapes.
 
 Values, gradients and tangent fields all come from one Cartesian table,
 evaluated at unit vectors with no angles and no trig.  For a real orthonormal Y_lm, the solid
@@ -37,39 +38,26 @@ or the imaginary part (m < 0) of R_l^|m|.  One evaluation is then power
 tables, three gathers for the monomials and one matmul; the values,
 projection and cross product that follow divide by no coordinate, so
 they stay exact at the poles.  The values agree with scipy's to a few
-ulp.  `real_harmonic` and `real_harmonic_grad` take their unit vectors
-from the angles (`grids.angles_to_sphere`); the angular derivatives are
-d/dtheta = grad R . (-y, x, 0) and d/dphi = grad R . e_phi, where
-e_phi = ds/dphi is the unit vector at polar angle phi + pi/2.
+ulp.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import angles_to_sphere
-
 __all__ = [
-    "real_harmonic",
-    "real_harmonic_grad",
     "harmonic_orders",
     "harmonic_values",
     "tangent_basis",
-    "n_tangent_fields",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _Y00 = np.sqrt(1.0 / (4.0 * np.pi))
 
 
-def _check_order(l: int, m: int) -> None:
-    if l < 0 or abs(m) > l:
-        raise ValueError(f"no spherical harmonic of degree {l} and order {m}")
-
-
-def harmonic_orders(max_degree: int, min_degree: int = 1) -> list[tuple[int, int]]:
-    """All (l, m) pairs with min_degree <= l <= max_degree."""
-    return [(l, m) for l in range(min_degree, max_degree + 1) for m in range(-l, l + 1)]
+def harmonic_orders(max_degree: int) -> list[tuple[int, int]]:
+    """All (l, m) pairs with 1 <= l <= max_degree."""
+    return [(l, m) for l in range(1, max_degree + 1) for m in range(-l, l + 1)]
 
 
 def _realize(m: int, values: np.ndarray) -> np.ndarray:
@@ -176,50 +164,6 @@ def harmonic_values(points: np.ndarray, max_degree: int) -> np.ndarray:
     degrees = np.arange(1, max_degree + 1)
     values /= np.repeat(degrees, 2 * degrees + 1)[:, None]
     return values.reshape(values.shape[:1] + pts.shape[:-1])
-
-
-def _unit_vectors(theta, phi) -> np.ndarray:
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                     np.asarray(phi, dtype=float))
-    return angles_to_sphere(theta, phi)
-
-
-def real_harmonic(l: int, m: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Real orthonormal spherical harmonic at azimuth theta, polar angle phi.
-
-    Raises ValueError for l < 0 or |m| > l.
-    """
-    _check_order(l, m)
-    s = _unit_vectors(theta, phi)
-    if l == 0:
-        return np.full(s.shape[:-1], _Y00)
-    # (l, m) is entry l^2 + l + m - 1 of harmonic_orders(l).
-    return harmonic_values(s, l)[l * l + l + m - 1]
-
-
-def real_harmonic_grad(
-    l: int, m: int, theta: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value plus partial derivatives (d/dtheta, d/dphi) of the real harmonic.
-
-    The derivatives are grad R . (-y, x, 0) and grad R . e_phi with the
-    Cartesian gradient of `tangent_basis` (module docstring).
-    Raises ValueError for l < 0 or |m| > l.
-    """
-    value = real_harmonic(l, m, theta, phi)
-    if l == 0:
-        return value, np.zeros_like(value), np.zeros_like(value)
-    s = _unit_vectors(theta, phi)
-    e_phi = _unit_vectors(theta, np.add(phi, 0.5 * np.pi))
-    grad = _harmonic_gradients(s.reshape(-1, 3).T, l)[l * l + l + m - 1]
-    gx, gy, gz = grad.reshape((3,) + s.shape[:-1])
-    d_theta = s[..., 0] * gy - s[..., 1] * gx
-    d_phi = e_phi[..., 0] * gx + e_phi[..., 1] * gy + e_phi[..., 2] * gz
-    return value, d_theta, d_phi
-
-
-def n_tangent_fields(max_degree: int) -> int:
-    return 2 * (max_degree * max_degree + 2 * max_degree)
 
 
 def tangent_basis(points: np.ndarray, max_degree: int) -> np.ndarray:

@@ -2,17 +2,17 @@
 
 Everything here is deterministic given the seed.  Random streams are
 split per subject with :class:`numpy.random.SeedSequence`, so growing a
-cohort never reshuffles the subjects already generated.
+cohort never reshuffles the subjects already generated.  A cohort's
+recipe, `CohortSpec`, is built in code; no command reads one from a file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import check_keys, load_json_object
 from .grids import Surface, SphericalGrid, make_grid
 from .regression import _RANGES, RESPONSES, CovariateTable, ModelSpec, design_matrix
 from .shape_stats import ShapeModel
@@ -96,22 +96,6 @@ class CohortSpec:
         ]
         if not np.all(np.isfinite(numeric)):
             raise ConfigError("all distribution parameters must be finite")
-
-    @classmethod
-    def from_json(cls, path) -> "CohortSpec":
-        """Load a spec from a JSON file; unknown keys are rejected."""
-        data = load_json_object(path)
-        check_keys(data, {f.name for f in fields(cls)}, path)
-        data = {
-            k: tuple(v) if isinstance(v, list) else v for k, v in data.items()
-        }
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

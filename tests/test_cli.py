@@ -153,6 +153,27 @@ def test_registration_options_that_disable_the_search_exit_2(tmp_path, capsys, r
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [("regress", {"strict": "no"}), ("regress", {"strict": 0}), ("regress", {"strict": None}),
+     ("pca", {"use_squared": "yes"}), ("pca", {"use_squared": 1})],
+    ids=["strict-string", "strict-zero", "strict-null", "use_squared-string", "use_squared-one"],
+)
+def test_boolean_config_keys_must_be_json_booleans(workspace, regress_inputs, tmp_path,
+                                                   capsys, command, payload):
+    inputs = {
+        "regress": ["--covariates", str(regress_inputs / "cov.csv"),
+                    "--scores", f"shape={regress_inputs / 'scores.csv'}"],
+        "pca": ["--mean", str(workspace / "base.surf"), str(workspace / "member_0.surf")],
+    }
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, *inputs[command], "--config", cfg, "--out", str(out)]) == 2
+    key = next(iter(payload))
+    assert f"{command} config: {key} must be true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_thread_and_seed_values(workspace, capsys):
     assert main(["simulate", "--threads", "0"]) == 2
     assert main(["simulate", "--seed", "-1"]) == 2
@@ -434,6 +455,31 @@ def test_regress_score_argument_validation(regress_inputs, tmp_path, capsys):
                      "--out", str(tmp_path / "e")]) == 2, entry
         assert f"--scores '{entry}': structure name" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [({"a,b": "TABLE"}, "scores key 'a,b': structure name must be"),
+     ({"": "TABLE"}, "scores key '': structure name must be"),
+     (["x"], "scores must be an object"),
+     ("TABLE", "scores must be an object"),
+     ({"a": 3}, "scores key 'a': the path must be a string"),
+     ({"a": None}, "scores key 'a': the path must be a string")],
+    ids=["comma", "empty-name", "list", "string", "number-path", "null-path"],
+)
+def test_bad_config_scores_exit_2_naming_the_key(regress_inputs, tmp_path, capsys,
+                                                 scores, message):
+    table = str(regress_inputs / "scores.csv")
+    if isinstance(scores, dict):
+        scores = {s: table if p == "TABLE" else p for s, p in scores.items()}
+    elif scores == "TABLE":
+        scores = table
+    cfg = _write_config(tmp_path, {"scores": scores})
+    out = tmp_path / "o"
+    assert main(["regress", "--covariates", str(regress_inputs / "cov.csv"),
+                 "--config", cfg, "--out", str(out)]) == 2
+    assert f"regress config: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_directory_paths_exit_with_a_message(regress_inputs, tmp_path, capsys):

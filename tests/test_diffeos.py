@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from elastishape.diffeos import (
     Diffeo,
-    compose,
     identity_diffeo,
     jacobian_det,
     pullback,
@@ -109,24 +108,6 @@ def test_random_diffeo_is_deterministic(grid32):
     assert np.array_equal(a.image, b.image)
     c = random_diffeo(grid32, 18, 0.15)
     assert not np.array_equal(a.image, c.image)
-
-
-def test_compose_with_identity_on_the_right_is_exact(grid32):
-    g = random_diffeo(grid32, 9, 0.2)
-    same = compose(g, identity_diffeo(grid32))
-    assert np.abs(same.image - g.image).max() < 1e-12
-
-
-def test_compose_with_identity_on_the_left_interpolates(grid32):
-    g = random_diffeo(grid32, 9, 0.2)
-    approx = compose(identity_diffeo(grid32), g)
-    # left identity is only as good as interpolating the sphere embedding
-    assert np.linalg.norm(approx.image - g.image, axis=-1).max() < 0.1
-
-
-def test_compose_rejects_mismatched_grids(grid16, grid32):
-    with pytest.raises(ValueError, match="grid"):
-        compose(identity_diffeo(grid16), identity_diffeo(grid32))
 
 
 def test_mirror_image_fails_orientation_gate(grid32):

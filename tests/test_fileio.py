@@ -18,7 +18,6 @@ from elastishape.fileio import (
     load_surface,
     numeric_columns,
     read_csv,
-    read_matrix_csv,
     save_model,
     save_surface,
     write_csv,
@@ -130,9 +129,9 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     mat = np.arange(12.0).reshape(3, 4) / 7.0
     write_matrix_csv(path, mat, ["a", "b", "c", "d"])
-    header, back = read_matrix_csv(path)
-    assert header == ["a", "b", "c", "d"]
-    assert_allclose(back, mat, atol=1e-15)
+    table = read_csv(path)
+    assert table.header == ["a", "b", "c", "d"]
+    assert_allclose(np.column_stack(numeric_columns(table, range(4))), mat, atol=1e-15)
 
 
 def _model_file(path, head, payload_values=0):

@@ -7,7 +7,6 @@ from elastishape.registration import RegistrationOpts, register, rotate_surface
 from elastishape.shape_stats import (
     cumulative_variance,
     diff_field,
-    geodesic,
     karcher_mean,
     pc_path,
     pc_scores,
@@ -36,17 +35,6 @@ def _rank3_model(grid):
         for z in scores
     ]
     return mean, cohort, scores
-
-
-def test_geodesic_endpoints_and_midpoint(grid16):
-    f1 = gen_surface("sphere", grid16)
-    f2 = gen_surface("ellipsoid", grid16, axes=(1.0, 0.8, 0.6))
-    assert_allclose(geodesic(f1, f2, 0.0).points, f1.points)
-    assert_allclose(geodesic(f1, f2, 1.0).points, f2.points)
-    mid = geodesic(f1, f2, 0.5)
-    assert_allclose(mid.points, 0.5 * (f1.points + f2.points))
-    with pytest.raises(ValueError, match="tau"):
-        geodesic(f1, f2, 1.5)
 
 
 def test_register_cohort_threads_match_serial(grid16):

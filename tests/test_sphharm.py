@@ -10,23 +10,16 @@ from numpy.testing import assert_allclose
 from scipy.special import sph_harm_y
 
 from elastishape import grids, sphharm
-from elastishape.grids import make_grid, sphere_to_angles
-from elastishape.sphharm import (
-    harmonic_orders,
-    harmonic_values,
-    n_tangent_fields,
-    real_harmonic,
-    real_harmonic_grad,
-    tangent_basis,
-)
+from elastishape.grids import angles_to_sphere, make_grid, sphere_to_angles
+from elastishape.sphharm import harmonic_orders, harmonic_values, tangent_basis
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _gram(grid, max_degree):
-    ph, th = np.meshgrid(grid.phi, grid.theta, indexing="ij")
-    orders = harmonic_orders(max_degree, min_degree=0)
-    v = np.stack([real_harmonic(l, m, th, ph).ravel() for l, m in orders])
+    """Quadrature Gram matrix of Y_00 and every harmonic of degree 1..max_degree."""
+    values = harmonic_values(grid.nodes(), max_degree).reshape(-1, grid.n_v * grid.n_u)
+    v = np.concatenate([np.full((1, values.shape[1]), 1.0 / np.sqrt(4 * np.pi)), values])
     return (v * grid.weights.ravel()) @ v.T
 
 
@@ -34,20 +27,18 @@ def test_harmonic_orders_count():
     assert harmonic_orders(3) == [
         (l, m) for l in range(1, 4) for m in range(-l, l + 1)
     ]
-    assert len(harmonic_orders(4, min_degree=0)) == 25
+    assert len(harmonic_orders(4)) == 24
 
 
 def test_low_order_closed_forms():
     th = np.array([0.3, 1.7, 4.0])
     ph = np.array([0.4, 1.2, 2.5])
-    assert_allclose(real_harmonic(0, 0, th, ph), 1.0 / np.sqrt(4 * np.pi))
-    assert_allclose(
-        real_harmonic(1, 0, th, ph), np.sqrt(3 / (4 * np.pi)) * np.cos(ph)
-    )
-    assert_allclose(
-        real_harmonic(1, 1, th, ph),
-        np.sqrt(3 / (4 * np.pi)) * np.sin(ph) * np.cos(th),
-    )
+    # real Y_1^-1, Y_1^0, Y_1^1
+    y1 = harmonic_values(angles_to_sphere(th, ph), 1)
+    c = np.sqrt(3 / (4 * np.pi))
+    assert_allclose(y1[0], c * np.sin(ph) * np.sin(th))
+    assert_allclose(y1[1], c * np.cos(ph))
+    assert_allclose(y1[2], c * np.sin(ph) * np.cos(th))
 
 
 def test_orthonormal_under_grid_quadrature():
@@ -60,22 +51,40 @@ def test_orthonormal_under_grid_quadrature():
     assert fine_err < 0.35 * err
 
 
+def _angular_derivatives(theta, phi, max_degree):
+    """d/dtheta and d/dphi of every harmonic of degree 1..max_degree, from
+    the gradient fields of `tangent_basis`: each field dotted with
+    ds/dtheta = (-y, x, 0) and with ds/dphi, the unit vector at polar
+    angle phi + pi/2.  Neither divides by sin(phi)."""
+    s = angles_to_sphere(theta, phi)
+    grads = tangent_basis(s, max_degree)[:len(harmonic_orders(max_degree))]
+    d_theta = s[..., 0] * grads[..., 1] - s[..., 1] * grads[..., 0]
+    d_phi = (grads * angles_to_sphere(theta, phi + 0.5 * np.pi)).sum(axis=-1)
+    return d_theta, d_phi
+
+
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
     th = rng.uniform(0.5, 5.5, size=40)
     ph = rng.uniform(0.3, np.pi - 0.3, size=40)
     h = 1e-6
+    d_th, d_ph = _angular_derivatives(th, ph, 4)
+
+    def values(theta, phi):
+        return harmonic_values(angles_to_sphere(theta, phi), 4)
+
+    fd_th = (values(th + h, ph) - values(th - h, ph)) / (2 * h)
+    fd_ph = (values(th, ph + h) - values(th, ph - h)) / (2 * h)
     for l, m in [(1, 0), (2, -1), (3, 2), (4, -4)]:
-        _, d_th, d_ph = real_harmonic_grad(l, m, th, ph)
-        fd_th = (real_harmonic(l, m, th + h, ph) - real_harmonic(l, m, th - h, ph)) / (2 * h)
-        fd_ph = (real_harmonic(l, m, th, ph + h) - real_harmonic(l, m, th, ph - h)) / (2 * h)
-        assert_allclose(d_th, fd_th, atol=1e-6)
-        assert_allclose(d_ph, fd_ph, atol=1e-6)
+        k = harmonic_orders(4).index((l, m))
+        assert_allclose(d_th[k], fd_th[k], atol=1e-6)
+        assert_allclose(d_ph[k], fd_ph[k], atol=1e-6)
 
 
 def test_n_tangent_fields():
-    assert n_tangent_fields(1) == 6
-    assert n_tangent_fields(3) == 30
+    pts = _unit_points(1, 5)
+    assert tangent_basis(pts, 1).shape[0] == 2 * len(harmonic_orders(1)) == 6
+    assert tangent_basis(pts, 3).shape[0] == 2 * len(harmonic_orders(3)) == 30
 
 
 def test_tangent_basis_is_tangent():
@@ -151,14 +160,15 @@ def test_degree_one_gradients_at_random_points_and_poles():
         assert np.abs(fields[3 + k] - np.cross(pts, expected)).max() < 1e-13
 
 
-def test_real_harmonic_grad_matches_scipy_derivatives():
+def test_tangent_basis_matches_scipy_derivatives():
     rng = np.random.default_rng(21)
     th = rng.uniform(0.0, 2.0 * np.pi, size=1002)
     ph = np.concatenate([rng.uniform(0.0, np.pi, size=1000), [1e-9, np.pi - 1e-9]])
-    for l, m in harmonic_orders(4, min_degree=0):
-        got = real_harmonic_grad(l, m, th, ph)
-        for a, b in zip(got, _scipy_real_grad(l, m, th, ph)):
-            assert np.abs(a - b).max() < 1e-13, (l, m)
+    d_theta, d_phi = _angular_derivatives(th, ph, 4)
+    for k, (l, m) in enumerate(harmonic_orders(4)):
+        _, want_theta, want_phi = _scipy_real_grad(l, m, th, ph)
+        assert np.abs(d_theta[k] - want_theta).max() < 1e-13, (l, m)
+        assert np.abs(d_phi[k] - want_phi).max() < 1e-13, (l, m)
 
 
 def test_tangent_basis_matches_the_division_formula_off_the_poles():
@@ -179,7 +189,7 @@ def test_tangent_basis_takes_no_angles(monkeypatch):
     monkeypatch.setattr(sphharm, "_GRADIENT_TABLES", {})
     for degree in (1, 3, 7):
         assert tangent_basis(_unit_points(6, 40), degree).shape == (
-            n_tangent_fields(degree), 40, 3)
+            2 * len(harmonic_orders(degree)), 40, 3)
     assert sorted(sphharm._GRADIENT_TABLES) == [1, 3, 7]
 
 
@@ -213,10 +223,9 @@ def test_numpy_harmonics_match_scipy():
     ph = np.concatenate([np.arccos(rng.uniform(-1.0, 1.0, size=1000)), extra])
     th = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, size=1000),
                          rng.uniform(0.0, 2.0 * np.pi, size=extra.size)])
-    for l in range(9):
-        for m in range(-l, l + 1):
-            got = real_harmonic(l, m, th, ph)
-            assert np.abs(got - _scipy_real_grad(l, m, th, ph)[0]).max() < 1e-13, (l, m)
+    values = harmonic_values(angles_to_sphere(th, ph), 8)
+    for k, (l, m) in enumerate(harmonic_orders(8)):
+        assert np.abs(values[k] - _scipy_real_grad(l, m, th, ph)[0]).max() < 1e-13, (l, m)
 
 
 def test_harmonic_values_keep_the_point_shape():
@@ -228,15 +237,6 @@ def test_harmonic_values_keep_the_point_shape():
         assert np.abs(values[k] - _scipy_real_grad(l, m, theta, phi)[0]).max() < 1e-13
     with pytest.raises(ValueError):
         harmonic_values(pts, 0)
-
-
-@pytest.mark.parametrize("l, m", [(1, 2), (1, -2), (-1, 0), (0, 1)])
-def test_invalid_harmonic_orders_raise(l, m):
-    th, ph = np.array([0.3, 1.0]), np.array([0.5, 2.0])
-    with pytest.raises(ValueError):
-        real_harmonic(l, m, th, ph)
-    with pytest.raises(ValueError):
-        real_harmonic_grad(l, m, th, ph)
 
 
 def test_tangent_basis_needs_degree_one():

@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -86,25 +85,6 @@ def test_cohort_spec_validation():
         CohortSpec(true_terms=("age",), true_coefficients=(0.1, 0.2))
     with pytest.raises(ConfigError, match="score_scale"):
         CohortSpec(score_scale=0.0)
-
-
-def test_cohort_spec_json_round_trip(tmp_path):
-    spec = CohortSpec(n_subjects=12, n_u=16, n_v=16, seed=5)
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec.to_dict()))
-    back = CohortSpec.from_json(path)
-    assert back == spec
-    path.write_text('{"n_subjects": 12, "bogus": 1}')
-    with pytest.raises(ConfigError, match="unknown keys"):
-        CohortSpec.from_json(path)
-    path.write_text("not json")
-    with pytest.raises(ConfigError, match="JSON"):
-        CohortSpec.from_json(path)
-
-
-def test_cohort_spec_from_a_missing_file_is_a_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        CohortSpec.from_json(tmp_path / "absent.json")
 
 
 def test_regression_cohort_truth_is_consistent():
