@@ -38,8 +38,8 @@ _PUBLIC = {
     "baseline": ("IcpResult", "MdsResult", "PointModel", "class_distances",
                  "classical_mds", "icp_register", "knn_accuracy", "vertex_pca"),
     "fileio": ("export_obj", "load_model", "load_surface", "save_model", "save_surface"),
-    "synthetic": ("CohortSpec", "gen_pca_cohort", "gen_regression_cohort",
-                  "gen_surface"),
+    "synthetic": ("CohortSpec", "gen_regression_cohort", "gen_surface",
+                  "shape_line_cohort"),
 }
 
 __all__ = ["__version__", *(name for module, names in _PUBLIC.items()

@@ -13,6 +13,10 @@ take --config --seed --threads --grid; mean takes --config --seed
 --threads; register, pca and regress take --config; scores and
 export-path take no other common flag.
 
+simulate and compare take their seeded two-class cohort from
+`synthetic.shape_line_cohort` and reparameterize each subject at
+random; this module builds no cohort of its own.
+
 Exit codes: 0 success, 2 configuration error, 3 input error (a missing,
 malformed or inconsistent input file: surface, model or CSV table), 4
 numerical failure.
@@ -96,9 +100,9 @@ _INT_KEYS = ("n_subjects", "n_per_class", "flow_degree", "seed", "init_index",
              "n_ps", "n_interact_ps")
 _FLOAT_KEYS = ("displacement", "mean_amplitude", "perturb_magnitude", "amplitude")
 _BOOL_KEYS = ("strict", "use_squared")
-
-# Successive mean-shape seeds tried before a bump amplitude is rejected.
-_MEAN_SEED_ATTEMPTS = 8
+# Shape-line cohort keys that must be positive, and those that must not be negative.
+_POSITIVE_KEYS = ("flow_degree", "displacement", "amplitude")
+_NONNEGATIVE_KEYS = ("seed", "mean_amplitude", "perturb_magnitude")
 
 
 def _pick(*values):
@@ -162,52 +166,6 @@ def _load_surfaces(paths) -> list:
     return surfaces
 
 
-def _radial_direction(grid, seed: int, degree: int) -> np.ndarray:
-    """Unit flattened direction field: seeded harmonic bumps along the radius."""
-    from .synthetic import radial_bump
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    bump = radial_bump(grid, degree, rng)
-    v = (bump[..., None] * grid.nodes()).reshape(-1)
-    nn = float(np.linalg.norm(v))
-    if nn <= 0:
-        raise NumericalError("degenerate perturbation direction")
-    return v / nn
-
-
-def _shape_line_cohort(grid, seed: int, n: int, displacement: float,
-                       mean_amplitude: float, degree: int):
-    """Two-class cohort mean + x*v around a seeded bumpy mean.
-
-    Coefficient magnitudes stay in [displacement/2, displacement] so no
-    subject sits on the class boundary closer than the registration
-    residual can resolve, and the bumpy mean pins the registration
-    frame, which a rotationally symmetric template would leave free.
-    The mean takes the first of the successive SeedSequence([seed, 5])
-    states whose bumps keep the radius positive; after
-    _MEAN_SEED_ATTEMPTS states the last ConfigError is raised.
-    """
-    from .synthetic import gen_pca_cohort, gen_surface
-
-    for mean_seed in np.random.SeedSequence([seed, 5]).generate_state(_MEAN_SEED_ATTEMPTS):
-        try:
-            mean = gen_surface(
-                "bumpy-sphere", grid, amplitude=mean_amplitude, degree=degree,
-                seed=int(mean_seed),
-            )
-            break
-        except ConfigError as exc:
-            error = exc
-    else:
-        raise error
-    direction = _radial_direction(grid, seed, degree)
-    half = (n + 1) // 2
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
-    mags = (0.5 + 0.5 * rng.random(n)) * displacement
-    coeffs = np.where(np.arange(n) < half, mags, -mags)
-    return mean, gen_pca_cohort(mean, direction, coeffs)
-
-
 def _pairwise_field_dist(fields: list) -> np.ndarray:
     """Pairwise L2 distances between transform fields on a shared grid."""
     cell = fields[0].grid.cell_measure
@@ -224,9 +182,10 @@ def _perturbed_cohort(cfg: dict, n: int, displacement: float, salt: int):
     its subjects reparameterized by a seeded random diffeomorphism."""
     from .diffeos import pullback, random_diffeo
     from .grids import make_grid
+    from .synthetic import shape_line_cohort
 
     grid = make_grid(*_parse_grid(cfg["grid"]))
-    mean, cohort = _shape_line_cohort(
+    mean, cohort = shape_line_cohort(
         grid, cfg["seed"], n, displacement,
         float(cfg["mean_amplitude"]), cfg["flow_degree"],
     )
@@ -473,8 +432,9 @@ def cmd_regress(args, cfg):
         if not struct or any(c in struct for c in ",()"):  # as in ps(shape,1)
             raise ConfigError(f"{where}: structure name must be nonempty, "
                               "without ',', '(' or ')'")
-        if not isinstance(path, str):
-            raise ConfigError(f"{where}: the path must be a string, got {path!r}")
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"{where}: the path must be a string naming a file, "
+                              f"got {path!r}")
         scores_map[struct] = path
     if not scores_map:
         raise ConfigError("no score tables (use --scores STRUCT=PATH or config)")
@@ -684,6 +644,9 @@ def _resolve(cmd: _Command, args) -> dict:
             valid = isinstance(value, types) and not isinstance(value, bool)
         if not valid:
             raise ConfigError(f"{args.command} config: {key} must be {kind}, got {value!r}")
+        if (key in _POSITIVE_KEYS and value <= 0) or (key in _NONNEGATIVE_KEYS and value < 0):
+            bound = "positive" if key in _POSITIVE_KEYS else "nonnegative"
+            raise ConfigError(f"{args.command} config: {key} must be {bound}, got {value!r}")
     if "seed" in cmd.flags:
         cfg["seed"] = _pick(args.seed, cfg.get("seed"))
     if "threads" in cmd.flags:

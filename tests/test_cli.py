@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elastishape.cli import _shape_line_cohort, main
-from elastishape.errors import ConfigError
+from elastishape.cli import main
 from elastishape.fileio import MODEL_MAGIC, load_model, load_surface, read_csv, save_surface
 from elastishape.grids import make_grid
 from elastishape.registration import RegistrationOpts, rotate_surface
@@ -135,6 +134,7 @@ def test_unknown_config_key_exits_2(workspace, tmp_path, capsys):
         {"n_subjects": 4.7},
         {"flow_degree": True},
         {"seed": 1.5},
+        {"seed": -1},
         {"perturb_magnitude": float("nan")},
         {"displacement": float("inf")},
         {"registration": {"tol_rel": float("inf")}},
@@ -150,6 +150,27 @@ def test_registration_options_that_disable_the_search_exit_2(tmp_path, capsys, r
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--grid", "16x16", "--out", str(out)]) == 2
     assert next(iter(reg.get("registration", reg))) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, bound",
+    [("simulate", "displacement", 0.0, "positive"),
+     ("simulate", "displacement", -1.0, "positive"),
+     ("simulate", "flow_degree", 0, "positive"),
+     ("simulate", "perturb_magnitude", -0.5, "nonnegative"),
+     ("compare", "amplitude", 0, "positive"),
+     ("compare", "amplitude", -0.5, "positive"),
+     ("compare", "flow_degree", -2, "positive"),
+     ("compare", "mean_amplitude", -0.1, "nonnegative"),
+     ("compare", "seed", -1, "nonnegative")],
+)
+def test_shape_line_values_out_of_range_exit_2_naming_the_key(tmp_path, capsys, command,
+                                                              key, value, bound):
+    cfg = _write_config(tmp_path, {"grid": "8x8", key: value})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{command} config: {key} must be {bound}, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -454,6 +475,10 @@ def test_regress_score_argument_validation(regress_inputs, tmp_path, capsys):
         assert main(["regress", "--covariates", cov, "--scores", entry,
                      "--out", str(tmp_path / "e")]) == 2, entry
         assert f"--scores '{entry}': structure name" in capsys.readouterr().err
+    assert main(["regress", "--covariates", cov, "--scores", "shape=",
+                 "--out", str(tmp_path / "e")]) == 2
+    assert ("--scores 'shape=': the path must be a string naming a file, got ''"
+            in capsys.readouterr().err)
     assert not (tmp_path / "e").exists()
 
 
@@ -464,8 +489,9 @@ def test_regress_score_argument_validation(regress_inputs, tmp_path, capsys):
      (["x"], "scores must be an object"),
      ("TABLE", "scores must be an object"),
      ({"a": 3}, "scores key 'a': the path must be a string"),
-     ({"a": None}, "scores key 'a': the path must be a string")],
-    ids=["comma", "empty-name", "list", "string", "number-path", "null-path"],
+     ({"a": None}, "scores key 'a': the path must be a string"),
+     ({"a": ""}, "scores key 'a': the path must be a string naming a file, got ''")],
+    ids=["comma", "empty-name", "list", "string", "number-path", "null-path", "empty-path"],
 )
 def test_bad_config_scores_exit_2_naming_the_key(regress_inputs, tmp_path, capsys,
                                                  scores, message):
@@ -742,23 +768,6 @@ def test_commands_reject_common_flags_they_do_not_read(workspace, tmp_path, caps
         assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
-
-
-def test_shape_line_cohort_skips_mean_seeds_that_make_the_radius_nonpositive():
-    grid = make_grid(32, 32)
-    for seed in (6, 205):
-        first = int(np.random.SeedSequence([seed, 5]).generate_state(1)[0])
-        with pytest.raises(ConfigError, match="nonpositive"):
-            gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
-        mean, cohort = _shape_line_cohort(grid, seed, 4, 1.2, 0.3, 3)
-        assert len(cohort.surfaces) == 4
-    # A seed whose first state works keeps that mean.
-    mean, _ = _shape_line_cohort(grid, 0, 4, 1.2, 0.3, 3)
-    first = int(np.random.SeedSequence([0, 5]).generate_state(1)[0])
-    expected = gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
-    assert np.array_equal(mean.points, expected.points)
-    with pytest.raises(ConfigError, match="nonpositive"):
-        _shape_line_cohort(grid, 0, 4, 1.2, 50.0, 3)
 
 
 def _reg(**kwargs):

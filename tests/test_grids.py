@@ -79,7 +79,7 @@ def test_surface_area_of_constant_surface(grid16):
 
 
 def test_normalize_is_idempotent(grid32):
-    f = gen_surface("ellipsoid", grid32, axes=(1.0, 0.7, 0.5))
+    f = Surface(grid=grid32, points=grid32.nodes() * (1.0, 0.7, 0.5))
     shifted = Surface(grid=grid32, points=f.points + np.array([0.3, -0.1, 0.8]))
     once = normalize(shifted)
     twice = normalize(once)

@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a caller.
+"""Every public function and class of the package has a caller, and every
+defaulted field of a public dataclass has a caller that sets it.
 
 A top-level function or class of `src/elastishape/*.py` whose name has no
 leading underscore must be referenced, as a name or an attribute in code,
@@ -6,6 +7,10 @@ from somewhere in the package other than its own definition, or from a
 `bench/*.py` file.  Strings (`__all__` entries, the package's `_PUBLIC`
 table) and imports do not count, and neither do the tests.  Names match by
 spelling, so a local variable of the same name counts as a reference.
+
+A field with a default is set when the same code passes it by keyword to a
+call of its class or of `dataclasses.replace`, or names it as a string key
+of a dict literal (a dict that is later unpacked into such a call).
 """
 
 import ast
@@ -13,6 +18,9 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "elastishape").glob("*.py"))
+TREES = {path: ast.parse(path.read_text(), str(path))
+         for path in [*PACKAGE, *sorted((ROOT / "bench").glob("*.py"))]}
 
 # Public names kept without a caller, with the reason for each.
 ALLOWED = {
@@ -29,13 +37,10 @@ def _names_used(node) -> Counter:
 
 
 def test_every_public_function_and_class_has_a_caller():
-    package = sorted((ROOT / "src" / "elastishape").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in [*package, *sorted((ROOT / "bench").glob("*.py"))]}
-    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    used = sum((_names_used(tree) for tree in TREES.values()), Counter())
     uncalled = {
         f"{path.stem}.{node.name}"
-        for path in package for node in trees[path].body
+        for path in PACKAGE for node in TREES[path].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and used[node.name] == _names_used(node)[node.name]
     }
@@ -44,3 +49,40 @@ def test_every_public_function_and_class_has_a_caller():
         "to ALLOWED with a reason")
     assert not ALLOWED.keys() - uncalled, (
         f"{sorted(ALLOWED.keys() - uncalled)} now have a caller: take them out of ALLOWED")
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_callee(d) == "dataclass" if isinstance(d, ast.Call)
+               else getattr(d, "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def test_every_defaulted_dataclass_field_is_set_by_a_caller():
+    defaulted = {
+        node.name: [stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None]
+        for path in PACKAGE for node in TREES[path].body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        and _is_dataclass(node)
+    }
+    by_class, anywhere = {}, set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                words = {k.arg for k in node.keywords if k.arg}
+                name = _callee(node)
+                if name == "replace":
+                    anywhere |= words
+                else:
+                    by_class.setdefault(name, set()).update(words)
+            elif isinstance(node, ast.Dict):
+                anywhere |= {k.value for k in node.keys
+                             if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    unset = [f"{cls}.{name}" for cls, names in defaulted.items() for name in names
+             if name not in by_class.get(cls, set()) | anywhere]
+    assert not unset, (
+        f"no caller sets {unset}: make them module constants, or delete them")

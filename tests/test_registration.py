@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from elastishape.diffeos import identity_diffeo, pullback, random_diffeo
-from elastishape.grids import make_grid
+from elastishape.grids import Surface, make_grid
 from elastishape.registration import (
     BASIS_DEGREE,
     GRAD_STEP,
@@ -111,8 +111,8 @@ def test_register_recovers_a_pure_rotation(bumpy32):
 
 
 def test_register_two_ellipsoids(grid32):
-    e1 = gen_surface("ellipsoid", grid32, axes=(1.0, 0.6, 0.5))
-    e2 = gen_surface("ellipsoid", grid32, axes=(1.0, 0.6, 0.4))
+    e1 = Surface(grid=grid32, points=grid32.nodes() * (1.0, 0.6, 0.5))
+    e2 = Surface(grid=grid32, points=grid32.nodes() * (1.0, 0.6, 0.4))
     r12 = register(e1, e2, OPTS)
     r21 = register(e2, e1, OPTS)
     assert 0.2 < r12.distance < 0.3

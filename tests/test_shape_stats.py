@@ -58,8 +58,8 @@ def test_karcher_mean_of_identical_copies_is_a_fixed_point(grid16):
 
 
 def test_karcher_mean_of_registered_pair_is_the_midpoint(grid16):
-    e1 = gen_surface("ellipsoid", grid16, axes=(1.0, 0.7, 0.5))
-    e2 = gen_surface("ellipsoid", grid16, axes=(1.0, 0.7, 0.45))
+    e1 = Surface(grid=grid16, points=grid16.nodes() * (1.0, 0.7, 0.5))
+    e2 = Surface(grid=grid16, points=grid16.nodes() * (1.0, 0.7, 0.45))
     e2s = register(e1, e2, OPTS).aligned
     res = karcher_mean([e1, e2s], OPTS)
     mid = 0.5 * (e1.points + e2s.points)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,27 +6,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 from elastishape.errors import ConfigError
-from elastishape.grids import surface_area
+from elastishape.grids import make_grid, surface_area
 from elastishape.regression import _RANGES, CovariateTable
 from elastishape.synthetic import (
     CohortSpec,
-    gen_pca_cohort,
     gen_regression_cohort,
     gen_surface,
+    shape_line_cohort,
 )
 
 
-def test_sphere_and_ellipsoid(grid16):
+def test_sphere_and_unknown_families(grid16):
     s = gen_surface("sphere", grid16)
     assert_allclose(np.linalg.norm(s.points, axis=-1), 1.0, atol=1e-12)
-    e = gen_surface("ellipsoid", grid16, axes=(2.0, 1.0, 0.5))
-    assert e.points[..., 0].max() == pytest.approx(2.0, abs=0.05)
-    w = e.points / np.array([2.0, 1.0, 0.5])
-    assert_allclose(np.linalg.norm(w, axis=-1), 1.0, atol=1e-12)
-    with pytest.raises(ConfigError, match="axes"):
-        gen_surface("ellipsoid", grid16, axes=(1.0, -1.0, 1.0))
-    with pytest.raises(ConfigError, match="family"):
-        gen_surface("torus", grid16)
+    for family in ("torus", "ellipsoid"):
+        with pytest.raises(ConfigError, match="family"):
+            gen_surface(family, grid16)
 
 
 def test_bumpy_sphere_is_seeded_and_bounded(grid32):
@@ -49,42 +45,61 @@ def test_bumpy_sphere_rejects_nonpositive_radius(grid32):
         gen_surface("bumpy-sphere", grid32, amplitude=-0.1)
 
 
+def test_bump_degree_below_one_is_rejected(grid16):
+    with pytest.raises(ConfigError, match="degree"):
+        gen_surface("bumpy-sphere", grid16, amplitude=0.1, degree=0)
+
+
 def test_pca_cohort_layout(grid16):
-    mean = gen_surface("sphere", grid16)
-    rng = np.random.default_rng(0)
-    direction = rng.standard_normal(mean.flat().shape[0])
-    direction /= np.linalg.norm(direction)
-    x = np.array([0.5, 0.1, 0.3, -0.2, -0.4])
-    cohort = gen_pca_cohort(mean, direction, x)
+    mean, cohort = shape_line_cohort(grid16, 3, 5, 0.8, 0.2, 2)
     assert len(cohort.surfaces) == 5
-    assert np.array_equal(cohort.coefficients, x)
+    x = cohort.coefficients
+    assert np.all(x[:3] > 0) and np.all(x[3:] < 0)
+    assert np.all((np.abs(x) >= 0.4) & (np.abs(x) <= 0.8))
     assert_allclose(cohort.labels, [1, 1, 1, 0, 0])
+    # every subject sits at mean + x_i v on one unit radial direction v
+    v = (cohort.surfaces[0].flat() - mean.flat()) / x[0]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    tangential = np.cross(v.reshape(mean.points.shape), grid16.nodes())
+    assert_allclose(tangential, 0.0, atol=1e-12)
     for xi, f in zip(x, cohort.surfaces):
-        assert_allclose(f.flat(), mean.flat() + xi * direction, atol=1e-12)
+        assert_allclose(f.flat(), mean.flat() + xi * v, atol=1e-12)
 
 
-def test_pca_cohort_explicit_coefficients(grid16):
-    mean = gen_surface("sphere", grid16)
-    direction = np.zeros(mean.flat().shape[0])
-    direction[0] = 1.0
-    coeffs = np.array([0.3, -0.2, 0.1])
-    cohort = gen_pca_cohort(mean, direction, coeffs)
-    assert np.array_equal(cohort.coefficients, coeffs)
-    with pytest.raises(ValueError, match="unit"):
-        gen_pca_cohort(mean, 2.0 * direction, coeffs)
-    with pytest.raises(ValueError, match="coefficients"):
-        gen_pca_cohort(mean, direction, coeffs[None])
+def test_shape_line_cohort_is_seeded(grid16):
+    mean, cohort = shape_line_cohort(grid16, 3, 4, 1.2, 0.2, 2)
+    again_mean, again = shape_line_cohort(grid16, 3, 4, 1.2, 0.2, 2)
+    assert np.array_equal(mean.points, again_mean.points)
+    assert np.array_equal(cohort.coefficients, again.coefficients)
+    assert all(np.array_equal(a.points, b.points)
+               for a, b in zip(cohort.surfaces, again.surfaces))
+    other_mean, other = shape_line_cohort(grid16, 4, 4, 1.2, 0.2, 2)
+    assert not np.array_equal(mean.points, other_mean.points)
+    assert not np.array_equal(cohort.coefficients, other.coefficients)
+
+
+def test_shape_line_cohort_skips_mean_seeds_that_make_the_radius_nonpositive():
+    grid = make_grid(32, 32)
+    for seed in (6, 205):
+        first = int(np.random.SeedSequence([seed, 5]).generate_state(1)[0])
+        with pytest.raises(ConfigError, match="nonpositive"):
+            gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
+        mean, cohort = shape_line_cohort(grid, seed, 4, 1.2, 0.3, 3)
+        assert len(cohort.surfaces) == 4
+    # A seed whose first state works keeps that mean.
+    mean, _ = shape_line_cohort(grid, 0, 4, 1.2, 0.3, 3)
+    first = int(np.random.SeedSequence([0, 5]).generate_state(1)[0])
+    expected = gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
+    assert np.array_equal(mean.points, expected.points)
+    with pytest.raises(ConfigError, match="nonpositive"):
+        shape_line_cohort(grid, 0, 4, 1.2, 50.0, 3)
 
 
 def test_cohort_spec_validation():
     with pytest.raises(ConfigError, match="n_subjects"):
         CohortSpec(n_subjects=0)
-    with pytest.raises(ConfigError, match="family"):
-        CohortSpec(family="cube")
     with pytest.raises(ConfigError, match="lengths"):
         CohortSpec(true_terms=("age",), true_coefficients=(0.1, 0.2))
-    with pytest.raises(ConfigError, match="score_scale"):
-        CohortSpec(score_scale=0.0)
 
 
 def test_regression_cohort_truth_is_consistent():
@@ -141,12 +156,43 @@ def test_regression_response_is_clipped_into_its_declared_range(tmp_path, respon
 
 
 def test_label_rules():
-    sign = gen_regression_cohort(
-        CohortSpec(n_subjects=10, n_u=16, n_v=16, seed=2, label_rule="score-sign")
-    )
+    sign = gen_regression_cohort(CohortSpec(n_subjects=10, n_u=16, n_v=16, seed=2))
     z1 = sign.truth.scores["shape"][:, 0]
     assert_allclose(sign.covariates.label, (z1 > 0).astype(float))
-    split = gen_regression_cohort(
-        CohortSpec(n_subjects=10, n_u=16, n_v=16, seed=2, label_rule="half-split")
-    )
-    assert_allclose(split.covariates.label, [0] * 5 + [1] * 5)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Digests of seeded generator outputs: the covariate table as written and
+# the score array of one regression cohort per response (the same subjects,
+# so the same scores), and the mean, surfaces and coefficients of one
+# shape-line cohort.  The benchmark's regression inputs come from this code,
+# so a drifted bit would show in its adjusted R^2.
+_COHORT_DIGESTS = {
+    "pss": "71170698645a9faed7617a56af8191244318f9262ed047a98171259e61b4186f",
+    "ctqtot": "b9f5790829b7dcd418976b32475f97dea39c9c1e69b0fd4d2b04fbc95642bcf7",
+}
+_SCORES_DIGEST = "2ecc7cfb9c428cc7e2fc0668f35598e1b269d4db734ba6cd920620d1a3c541f8"
+_LINE_DIGESTS = (
+    "b268b56f2011fdafe2e517b6f4b501631089e866300e58dedffddce597b716e3",
+    "a3a28db9ac88d471b2f2a960f85252a0ff35a59f9bd659cf4d743353de248a75",
+    "d2992a7b062486776ecb30c693128e432beb90f01b73081e4e3b23dcc905de1d",
+)
+
+
+def test_seeded_generator_outputs_keep_their_bytes(tmp_path):
+    spec = CohortSpec(n_subjects=12, n_u=8, n_v=8, n_directions=4, noise_sigma=0.5, seed=3)
+    ctq = replace(spec, response="ctqtot", true_terms=("bdi", "ps(shape,2)"),
+                  true_coefficients=(0.5, 40.0), intercept=65.0, noise_sigma=3.0)
+    for s in (spec, ctq):
+        cohort = gen_regression_cohort(s)
+        cohort.covariates.to_csv(tmp_path / f"{s.response}.csv")
+        assert _sha256((tmp_path / f"{s.response}.csv").read_bytes()) == \
+            _COHORT_DIGESTS[s.response]
+        assert _sha256(cohort.truth.scores["shape"].tobytes()) == _SCORES_DIGEST
+    mean, cohort = shape_line_cohort(make_grid(12, 10), 6, 5, 1.2, 0.3, 3)
+    points = np.stack([f.points for f in cohort.surfaces])
+    assert tuple(_sha256(a.tobytes()) for a in (mean.points, points,
+                                                cohort.coefficients)) == _LINE_DIGESTS
