@@ -35,8 +35,8 @@ _PUBLIC = {
     "regression": ("CovariateTable", "ModelSpec", "RegressionFit", "StepwiseResult",
                    "design_matrix", "ols_fit", "run_model_suite",
                    "stepwise_bidirectional"),
-    "baseline": ("IcpResult", "MdsResult", "PointModel", "class_distances",
-                 "classical_mds", "icp_register", "knn_accuracy", "vertex_pca"),
+    "baseline": ("IcpResult", "MdsResult", "class_distances", "classical_mds",
+                 "icp_register", "knn_accuracy"),
     "fileio": ("export_obj", "load_model", "load_surface", "save_model", "save_surface"),
     "synthetic": ("CohortSpec", "gen_regression_cohort", "gen_surface",
                   "shape_line_cohort"),

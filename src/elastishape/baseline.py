@@ -1,10 +1,11 @@
-"""Vertex-wise baseline pipeline: ICP alignment, point-cloud PCA,
-class-separation distances, and classical multidimensional scaling.
+"""Vertex-wise baseline pipeline: ICP alignment, class-separation
+distances, and classical multidimensional scaling.
 
 This is the comparison arm: surfaces treated as plain point clouds with
 index correspondence, rigidly aligned by iterative closest point with
-the elastic pipeline's Procrustes step, and summarized by the same PCA
-machinery as the elastic pipeline.
+the elastic pipeline's Procrustes step.  The aligned clouds go back onto
+the cohort grid as `Surface`s, so the distances here and
+`shape_stats.shape_pca` serve both arms.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ import numpy as np
 
 from .errors import InputError
 from .registration import _proper_rotation
-from .shape_stats import _principal_axes
+from .shape_stats import diff_field
 
 __all__ = [
     "IcpResult",
     "MdsResult",
     "icp_register",
     "class_distances",
-    "vertex_pca",
-    "PointModel",
-    "point_pc_scores",
     "classical_mds",
     "knn_accuracy",
 ]
@@ -101,29 +99,25 @@ def icp_register(fixed, moving) -> IcpResult:
     )
 
 
-def class_distances(clouds: list, labels) -> tuple[float, float]:
+def class_distances(surfaces: list, labels) -> tuple[float, float]:
     """Average inter-class and intra-class total point-wise distances.
 
     For each unordered pair of subjects the distance is the sum over
-    matched point indices of the Euclidean point distance; pairs are
+    grid nodes of the Euclidean point distance (`diff_field`); pairs are
     averaged separately across mixed-label and same-label index sets.
+    Surfaces on different grids raise ValueError.
 
     Returns (d_inter, d_intra).
     """
     labels = np.asarray(labels)
-    if len(clouds) != len(labels):
-        raise ValueError("clouds and labels length mismatch")
-    pts = [_as_cloud(c) for c in clouds]
-    m = pts[0].shape[0]
-    if any(p.shape[0] != m for p in pts):
-        raise ValueError("all clouds must have the same point count")
+    if len(surfaces) != len(labels):
+        raise ValueError("surfaces and labels length mismatch")
 
     inter, n_inter = 0.0, 0
     intra, n_intra = 0.0, 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            delta = pts[i] - pts[j]
-            total = float(np.sqrt((delta * delta).sum(axis=1)).sum())
+    for i in range(len(surfaces)):
+        for j in range(i + 1, len(surfaces)):
+            total = float(diff_field(surfaces[i], surfaces[j]).sum())
             if labels[i] == labels[j]:
                 intra += total
                 n_intra += 1
@@ -135,43 +129,6 @@ def class_distances(clouds: list, labels) -> tuple[float, float]:
     if n_intra == 0:
         raise InputError("no same-label pair present")
     return inter / n_inter, intra / n_intra
-
-
-@dataclass
-class PointModel:
-    """PCA model over flattened point clouds (baseline analogue of ShapeModel)."""
-
-    mean: np.ndarray
-    directions: np.ndarray
-    singulars: np.ndarray
-    n_train: int
-
-
-def vertex_pca(clouds: list) -> PointModel:
-    """PCA of flattened (m, 3) clouds about their arithmetic mean cloud."""
-    if len(clouds) < 2:
-        raise ValueError("need at least two clouds for PCA")
-    pts = [_as_cloud(c) for c in clouds]
-    m = pts[0].shape[0]
-    if any(p.shape[0] != m for p in pts):
-        raise ValueError("all clouds must have the same point count")
-    flat = np.stack([p.reshape(-1) for p in pts], axis=1)
-    mean = flat.mean(axis=1)
-    directions, singulars = _principal_axes(flat.T, mean)
-    return PointModel(
-        mean=mean.reshape(m, 3),
-        directions=directions,
-        singulars=singulars,
-        n_train=len(clouds),
-    )
-
-
-def point_pc_scores(cloud, model: PointModel, d: int) -> np.ndarray:
-    """First d principal scores of a cloud under a PointModel."""
-    if not 0 <= d <= len(model.singulars):
-        raise ValueError(f"d={d} out of range")
-    deviation = _as_cloud(cloud).reshape(-1) - model.mean.reshape(-1)
-    return model.directions[:d] @ deviation
 
 
 @dataclass

@@ -373,8 +373,8 @@ def cmd_export_path(args, cfg):
         )
     if args.frames < 2:
         raise ConfigError("frames must be at least 2")
-    if args.t_max <= 0:
-        raise ConfigError("t-max must be positive")
+    if not np.isfinite(args.t_max) or args.t_max <= 0:
+        raise ConfigError(f"t-max must be a positive finite number, got {args.t_max}")
     cfg.update(component=k, frames=args.frames, t_max=args.t_max, model=str(args.model))
 
     t_values = np.linspace(-args.t_max, args.t_max, args.frames)
@@ -423,10 +423,15 @@ def cmd_regress(args, cfg):
                           f"and score table paths, got {cfg['scores']!r}")
     # (where, structure name, path): the config's entries, then the flags'.
     entries = [(f"regress config: scores key {s!r}", s, p) for s, p in cfg["scores"].items()]
+    flagged = set()
     for entry in args.scores or []:
         if "=" not in entry:
             raise ConfigError(f"--scores needs STRUCT=PATH, got '{entry}'")
-        entries.append((f"--scores '{entry}'", *entry.split("=", 1)))
+        struct, path = entry.split("=", 1)
+        if struct in flagged:
+            raise ConfigError(f"--scores given twice for structure '{struct}'")
+        flagged.add(struct)
+        entries.append((f"--scores '{entry}'", struct, path))
     scores_map = {}
     for where, struct, path in entries:
         if not struct or any(c in struct for c in ",()"):  # as in ps(shape,1)
@@ -490,11 +495,14 @@ def cmd_regress(args, cfg):
 def cmd_compare(args, cfg):
     """Elastic vs vertex-wise pipeline on a mis-parameterized two-class cohort.
 
-    Builds two shape classes on one direction, perturbs every surface by
-    a seeded random reparameterization, then scores both pipelines with
-    the inter/intra class distances and cumulative variance curves.
+    Builds two shape classes on one direction and perturbs every surface
+    by a seeded random reparameterization.  The elastic arm registers
+    each surface to the cohort mean; the vertex arm ICP-aligns each to
+    the first subject and puts the cloud back on the grid.  Each arm is
+    then scored the same way: the inter/intra class distances, and the
+    cumulative variance of `shape_pca` about the arm's arithmetic mean.
     """
-    from .baseline import class_distances, icp_register, vertex_pca
+    from .baseline import class_distances, icp_register
     from .registration import RegistrationOpts
     from .shape_stats import cumulative_variance, register_cohort, shape_pca
 
@@ -507,40 +515,30 @@ def cmd_compare(args, cfg):
     labels = cohort.labels
 
     opts = RegistrationOpts(**cfg["registration"])
-    results = register_cohort(mean, perturbed, opts, threads=cfg["threads"])
-    aligned = [r.aligned for r in results]
-    clouds_elastic = [f.points.reshape(-1, 3) for f in aligned]
-    e_inter, e_intra = class_distances(clouds_elastic, labels)
-    stacked = np.stack([f.points for f in aligned])
-    model_elastic = shape_pca(aligned, mean.with_points(stacked.mean(axis=0)))
-
     reference = perturbed[0].points.reshape(-1, 3)
-    clouds_vertex = [
-        icp_register(reference, f.points.reshape(-1, 3)).aligned for f in perturbed
-    ]
-    v_inter, v_intra = class_distances(clouds_vertex, labels)
-    model_vertex = vertex_pca(clouds_vertex)
-
+    arms = {
+        "elastic": [r.aligned for r in
+                    register_cohort(mean, perturbed, opts, threads=cfg["threads"])],
+        "vertex": [mean.with_points(icp_register(reference, f.points.reshape(-1, 3))
+                                    .aligned.reshape(mean.points.shape)) for f in perturbed],
+    }
+    rows, cumvars = [], {}
+    for name, surfaces in arms.items():
+        d_inter, d_intra = class_distances(surfaces, labels)
+        rows.append([name, d_inter, d_intra, d_inter - d_intra])
+        stacked = np.stack([f.points for f in surfaces])
+        cv = cumulative_variance(shape_pca(surfaces, mean.with_points(stacked.mean(axis=0))))
+        cumvars[f"cumvar_{name}.csv"] = _table(
+            np.column_stack([np.arange(1, len(cv) + 1), cv]), ["d", "fraction"])
     artifacts = {
-        "class_distances.csv": _rows(
-            ["pipeline", "d_inter", "d_intra", "margin"],
-            [
-                ["elastic", e_inter, e_intra, e_inter - e_intra],
-                ["vertex", v_inter, v_intra, v_inter - v_intra],
-            ],
+        "class_distances.csv": _rows(["pipeline", "d_inter", "d_intra", "margin"], rows),
+        **cumvars,
+        "labels.csv": _rows(
+            ["id", "label", "coefficient"], zip(_ids(n), labels, cohort.coefficients)
         ),
     }
-    for name, model in (("elastic", model_elastic), ("vertex", model_vertex)):
-        cv = cumulative_variance(model)
-        table = np.column_stack([np.arange(1, len(cv) + 1), cv])
-        artifacts[f"cumvar_{name}.csv"] = _table(table, ["d", "fraction"])
-    artifacts["labels.csv"] = _rows(
-        ["id", "label", "coefficient"], zip(_ids(n), labels, cohort.coefficients)
-    )
-    summary = [
-        f"elastic: d_inter {e_inter:.6g}, d_intra {e_intra:.6g}",
-        f"vertex:  d_inter {v_inter:.6g}, d_intra {v_intra:.6g}",
-    ]
+    summary = [f"{name + ':':<8} d_inter {d_inter:.6g}, d_intra {d_intra:.6g}"
+               for name, d_inter, d_intra, _ in rows]
     return [], artifacts, summary
 
 

@@ -125,29 +125,24 @@ def karcher_mean(
     )
 
 
-def _principal_axes(samples: list, mean: np.ndarray):
-    """Unit principal directions (rows) and singular values of samples about mean.
+def shape_pca(registered: list, mean: Surface) -> ShapeModel:
+    """PCA of flattened deviations from the mean.
 
     The covariance is the plain sum of outer products of the deviation
     vectors; directions and singular values come from the economy SVD of
     the stacked data matrix, which is the numerically preferred route to
-    the same eigenvectors.  `baseline.vertex_pca` uses it too.
+    the same eigenvectors.  Both arms of `compare` run through here: the
+    elastic arm on registered surfaces, the vertex arm on ICP-aligned
+    clouds put back on the grid.
     """
-    data = np.stack([x - mean for x in samples], axis=1)
-    u, s, _ = np.linalg.svd(data, full_matrices=False)
-    return u.T.copy(), s
-
-
-def shape_pca(registered: list, mean: Surface) -> ShapeModel:
-    """PCA of flattened deviations from the mean (see `_principal_axes`)."""
     if len(registered) < 2:
         raise ValueError("need at least two surfaces for PCA")
     if not all(f.grid.same_dims(mean.grid) for f in registered):
         raise ValueError("all surfaces must share the mean's grid dimensions")
-    directions, singulars = _principal_axes([f.flat() for f in registered], mean.flat())
-    return ShapeModel(
-        mean=mean, directions=directions, singulars=singulars, n_train=len(registered)
-    )
+    center = mean.flat()
+    data = np.stack([f.flat() - center for f in registered], axis=1)
+    u, s, _ = np.linalg.svd(data, full_matrices=False)
+    return ShapeModel(mean=mean, directions=u.T.copy(), singulars=s, n_train=len(registered))
 
 
 def pc_scores(f: Surface, model: ShapeModel, d: int) -> np.ndarray:
@@ -168,11 +163,11 @@ def reconstruct(z: np.ndarray, model: ShapeModel) -> Surface:
     return Surface(grid=grid, points=flat.reshape(grid.n_v, grid.n_u, 3))
 
 
-def cumulative_variance(model, use_squared: bool = False) -> np.ndarray:
-    """Running fraction of total singular value captured by the first d.
+def cumulative_variance(model: ShapeModel, use_squared: bool = False) -> np.ndarray:
+    """Running fraction of a ShapeModel's total singular value captured
+    by the first d directions.
 
-    model is a ShapeModel or a vertex-wise `baseline.PointModel`.  The
-    default follows the singular-value proportion convention; set
+    The default follows the singular-value proportion convention; set
     use_squared for the eigenvalue (variance) convention.
     """
     if len(model.singulars) == 0:

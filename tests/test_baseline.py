@@ -8,12 +8,9 @@ from elastishape.baseline import (
     classical_mds,
     icp_register,
     knn_accuracy,
-    point_pc_scores,
-    vertex_pca,
 )
 from elastishape.errors import InputError
 from elastishape.grids import make_grid
-from elastishape.shape_stats import cumulative_variance, shape_pca
 from elastishape.synthetic import gen_surface
 
 from conftest import rotation_matrix
@@ -58,60 +55,28 @@ def test_icp_rms_never_increases():
         assert (np.diff(trace) <= 1e-12).all()
 
 
+def _shifted_spheres(offsets, n=8):
+    """Unit spheres on an n x n grid, each moved by (offset, 0, 0)."""
+    sphere = gen_surface("sphere", make_grid(n, n))
+    return [sphere.with_points(sphere.points + [x, 0.0, 0.0]) for x in offsets]
+
+
 def test_class_distances_hand_case():
-    clouds = [
-        np.array([[0.0, 0.0, 0.0]]),
-        np.array([[1.0, 0.0, 0.0]]),
-        np.array([[2.5, 0.0, 0.0]]),
-    ]
-    d_inter, d_intra = class_distances(clouds, [0, 0, 1])
-    # inter pairs are 2.5 and 1.5 away, the one intra pair is 1.0
-    assert_allclose(d_inter, 2.0)
-    assert_allclose(d_intra, 1.0)
+    d_inter, d_intra = class_distances(_shifted_spheres([0.0, 1.0, 2.5]), [0, 0, 1])
+    # every node of a pair is |offset| apart, over 8 * 8 nodes: the inter
+    # pairs are 2.5 and 1.5 apart, the one intra pair 1.0
+    assert_allclose(d_inter, 64 * 2.0)
+    assert_allclose(d_intra, 64 * 1.0)
 
 
 def test_class_distances_validation():
-    clouds = [np.zeros((2, 3)), np.ones((2, 3))]
+    surfaces = _shifted_spheres([0.0, 1.0])
     with pytest.raises(InputError, match="mixed-label"):
-        class_distances(clouds, [0, 0])
+        class_distances(surfaces, [0, 0])
     with pytest.raises(InputError, match="same-label"):
-        class_distances(clouds, [0, 1])
-    with pytest.raises(ValueError, match="point count"):
-        class_distances([np.zeros((2, 3)), np.zeros((3, 3))], [0, 1])
-
-
-def test_vertex_pca_of_identical_clouds_is_degenerate():
-    cloud = _cloud(2, n=40)
-    model = vertex_pca([cloud] * 4)
-    assert model.singulars.max() < 1e-12
-    assert_allclose(model.mean, cloud, atol=1e-12)
-    assert model.n_train == 4
-
-
-def test_vertex_pca_scores_reconstruct():
-    rng = np.random.default_rng(3)
-    base = rng.standard_normal((30, 3))
-    clouds = [base + 0.1 * rng.standard_normal((30, 3)) for _ in range(6)]
-    model = vertex_pca(clouds)
-    z = point_pc_scores(clouds[0], model, 6)
-    flat = model.mean.reshape(-1) + z @ model.directions[:6]
-    assert_allclose(flat.reshape(30, 3), clouds[0], atol=1e-10)
-    with pytest.raises(ValueError, match="out of range"):
-        point_pc_scores(clouds[0], model, 7)
-
-
-def test_vertex_pca_and_shape_pca_agree_on_one_cohort():
-    base = gen_surface("bumpy-sphere", make_grid(8, 8), amplitude=0.1, degree=2, seed=3)
-    rng = np.random.default_rng(5)
-    surfaces = [
-        base.with_points(base.points + 0.05 * rng.standard_normal(base.points.shape))
-        for _ in range(5)
-    ]
-    vertex = vertex_pca([f.points.reshape(-1, 3) for f in surfaces])
-    shape = shape_pca(surfaces, base.with_points(vertex.mean.reshape(base.points.shape)))
-    assert np.array_equal(vertex.singulars, shape.singulars)
-    assert np.array_equal(vertex.directions, shape.directions)
-    assert np.array_equal(cumulative_variance(vertex), cumulative_variance(shape))
+        class_distances(surfaces, [0, 1])
+    with pytest.raises(ValueError, match="grid"):
+        class_distances([*surfaces, *_shifted_spheres([2.0], n=6)], [0, 1, 1])
 
 
 def test_mds_recovers_a_planar_rectangle():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import struct
@@ -363,6 +364,13 @@ def test_export_path_validation(workspace, tmp_path, capsys):
     assert main(["export-path", "--model", model, "--t-max", "-1.0",
                  "--out", str(tmp_path / "c")]) == 2
     capsys.readouterr()
+    for value in ("nan", "inf"):
+        out = tmp_path / value
+        assert main(["export-path", "--model", model, "--t-max", value,
+                     "--out", str(out)]) == 2, value
+        err = capsys.readouterr().err
+        assert f"t-max must be a positive finite number, got {value}" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +488,22 @@ def test_regress_score_argument_validation(regress_inputs, tmp_path, capsys):
     assert ("--scores 'shape=': the path must be a string naming a file, got ''"
             in capsys.readouterr().err)
     assert not (tmp_path / "e").exists()
+
+
+def test_regress_scores_flag_twice_for_one_structure_exits_2(regress_inputs, tmp_path,
+                                                             capsys):
+    cov, table = regress_inputs / "cov.csv", regress_inputs / "scores.csv"
+    out = tmp_path / "twice"
+    assert main(["regress", "--covariates", str(cov), "--scores", f"shape={table}",
+                 "--scores", f"shape={tmp_path / 'other.csv'}", "--out", str(out)]) == 2
+    assert "--scores given twice for structure 'shape'" in capsys.readouterr().err
+    assert not out.exists()
+    # A flag still overrides the config's entry for the same structure.
+    cfg = _write_config(tmp_path, {"scores": {"shape": str(tmp_path / "missing.csv")}})
+    code, tables = _regress_tables(cov, table, tmp_path / "b", "--config", cfg)
+    assert code == 0 and tables == _regress_tables(cov, table, tmp_path / "c")[1]
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["config"]["scores"] == {"shape": str(table)}
 
 
 @pytest.mark.parametrize(
@@ -745,14 +769,24 @@ def test_compare_small_run(tmp_path, capsys):
     out = tmp_path / "cmp-out"
     code = main(["compare", "--config", cfg, "--out", str(out)])
     assert code == 0
-    captured = capsys.readouterr().out
-    assert "elastic: d_inter" in captured
-    assert "vertex:  d_inter" in captured
+    assert capsys.readouterr().out.splitlines() == [
+        "elastic: d_inter 16.7, d_intra 13.7245",
+        "vertex:  d_inter 28.1154, d_intra 28.1399",
+    ]
     header, rows = _read_csv(out / "class_distances.csv")
     assert header == ["pipeline", "d_inter", "d_intra", "margin"]
     assert [r[0] for r in rows] == ["elastic", "vertex"]
-    assert (out / "cumvar_elastic.csv").exists()
-    assert (out / "cumvar_vertex.csv").exists()
+    # Both arms' outputs, pinned byte for byte at this seed.
+    digests = {
+        "class_distances.csv":
+            "3953c5301a67cac5af5e447ead672579de111736d5c0c1385b500dae3cda365b",
+        "cumvar_elastic.csv":
+            "e8d2e94f1abb0f707abe83841a4342e0760af9b3bfcab02f9a3e87d8034253fd",
+        "cumvar_vertex.csv":
+            "10b59bf86f6610fc98e25ffd9af057148fe9c75011dd8d6bcd0c37b36da37820",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_commands_reject_common_flags_they_do_not_read(workspace, tmp_path, capsys):

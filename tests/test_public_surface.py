@@ -24,7 +24,6 @@ TREES = {path: ast.parse(path.read_text(), str(path))
 
 # Public names kept without a caller, with the reason for each.
 ALLOWED = {
-    "baseline.point_pc_scores": "the vertex arm of the held-out experiment (ROADMAP item 6)",
     "grids.normalize": "ROADMAP item 6 decides whether shape scores carry scale",
     "grids.surface_area": "ROADMAP item 6 decides whether shape scores carry scale",
 }

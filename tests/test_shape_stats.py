@@ -147,6 +147,8 @@ def test_cumulative_variance_conventions(grid16):
 def test_cumulative_variance_of_degenerate_cohort(grid16):
     f = gen_surface("sphere", grid16)
     model = shape_pca([f, f, f], f)
+    assert model.singulars.max() < 1e-12
+    assert model.n_train == 3
     assert_allclose(cumulative_variance(model), 1.0)
 
 
