@@ -2,10 +2,16 @@
 distances, and classical multidimensional scaling.
 
 This is the comparison arm: surfaces treated as plain point clouds with
-index correspondence, rigidly aligned by iterative closest point with
-the elastic pipeline's Procrustes step.  The aligned clouds go back onto
-the cohort grid as `Surface`s, so the distances here and
-`shape_stats.shape_pca` serve both arms.
+index correspondence, rigidly aligned by iterative closest point (Besl &
+McKay, IEEE TPAMI 1992) with the elastic pipeline's Procrustes step.
+The aligned clouds go back onto the cohort grid as `Surface`s, so the
+distances here and `shape_stats.shape_pca` serve both arms.
+
+ICP's nearest-neighbour search is an exact sweep in numpy (`_XSweep`):
+the fixed cloud is sorted by x once, and each block of x-sorted queries
+compares itself only with the fixed points whose x lies within the
+block's distance bound.  The bounds come from the previous iteration's
+matches, so after the first iteration the slabs are narrow.
 """
 
 from __future__ import annotations
@@ -29,15 +35,74 @@ __all__ = [
 
 ICP_MAX_ITERS = 50
 ICP_TOL = 1e-8
+# Queries per block of the nearest-neighbour sweep, and the stride of the
+# fixed-cloud subsample whose nearest point bounds the first iteration's
+# distances.
+SWEEP_BLOCK = 64
+SWEEP_STRIDE = 16
 
 
-def _as_cloud(points) -> np.ndarray:
+def _as_cloud(points, name: str) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("point cloud must have shape (m, 3)")
+        raise ValueError(f"{name} point cloud must have shape (m, 3)")
+    if len(pts) == 0:
+        raise ValueError(f"{name} point cloud has no points")
     if not np.all(np.isfinite(pts)):
-        raise ValueError("point cloud contains non-finite values")
+        raise ValueError(f"{name} point cloud contains non-finite values")
     return pts
+
+
+class _XSweep:
+    """Exact nearest neighbours in a fixed cloud, by a sweep along x.
+
+    The cloud is sorted by x once; `points` holds it in that order, and
+    every index this class takes or returns is a row of `points`.  A
+    query's nearest point lies within its bound r of it, so within the
+    x-slab [x - r, x + r].  Queries go in x order, SWEEP_BLOCK at a
+    time; each block takes one argmin of |f|^2 - 2 q.f over the slab of
+    its x range widened by its largest bound.  That score is one matmul
+    of the lifted query (q, 1) with the stacked rows (-2 F^T, |f|^2).
+    Points at one distance (duplicates) may be told apart either way,
+    and so may points whose distances differ by rounding of the score.
+    """
+
+    def __init__(self, cloud: np.ndarray):
+        self.points = cloud[np.argsort(cloud[:, 0], kind="stable")]
+        self.x = np.ascontiguousarray(self.points[:, 0])
+        self.lifted = np.vstack([-2.0 * self.points.T,
+                                 (self.points * self.points).sum(axis=1)])
+
+    def nearest(self, queries: np.ndarray, bound_sq: np.ndarray | None = None) -> np.ndarray:
+        """Index of each query's nearest point.
+
+        bound_sq, if given, is for each query the squared distance to
+        some point of the cloud.  Without it the bounds come from the
+        nearest point of every SWEEP_STRIDE-th point.
+        """
+        order = np.argsort(queries[:, 0], kind="stable")
+        q = np.ones((len(queries), 4))
+        q[:, :3] = queries[order]
+        if bound_sq is None:
+            sub = slice(None, None, SWEEP_STRIDE)
+            diff = q[:, :3] - self.points[sub][(q @ self.lifted[:, sub]).argmin(axis=1)]
+            bound_sq = (diff * diff).sum(axis=1)
+        else:
+            bound_sq = bound_sq[order]
+        starts = np.arange(0, len(q), SWEEP_BLOCK)
+        ends = np.minimum(starts + SWEEP_BLOCK, len(q))
+        x_lo, x_hi = q[starts, 0], q[ends - 1, 0]
+        reach = np.sqrt(np.maximum.reduceat(bound_sq, starts))
+        # A few ulps more, so that rounding cannot leave out of the slab a
+        # point at distance r: without them, a query at x = 1.5 bounded by
+        # a point at x = -1e-20 gets r = 1.5 and the empty slab [0, 3].
+        reach += 4 * np.finfo(float).eps * (reach + np.abs(x_lo) + np.abs(x_hi))
+        lo = np.searchsorted(self.x, x_lo - reach, side="left")
+        hi = np.searchsorted(self.x, x_hi + reach, side="right")
+        idx = np.empty(len(q), dtype=np.intp)
+        for s, e, a, b in zip(starts, ends, lo, hi):
+            idx[order[s:e]] = a + (q[s:e] @ self.lifted[:, a:b]).argmin(axis=1)
+        return idx
 
 
 def _best_rigid(source: np.ndarray, target: np.ndarray):
@@ -63,30 +128,34 @@ def icp_register(fixed, moving) -> IcpResult:
     Both clouds are pre-centered on their means before iteration starts,
     which removes the bulk translation and keeps the nearest-neighbor
     correspondences sane for well-separated inputs.  Each iteration
-    matches every moving point to its nearest fixed point (k-d tree),
-    solves the best rigid transform for those pairs, and applies it.
+    matches every moving point to its nearest fixed point, solves the
+    best rigid transform for those pairs, and applies it.  The matches
+    come from an exact sweep over the x-sorted fixed cloud (`_XSweep`),
+    where each point's distance to its previous match bounds the search.
     Stops when the RMS change drops below ICP_TOL or after ICP_MAX_ITERS.
+    Raises ValueError for a cloud that is not (m, 3), is empty or holds
+    non-finite values.
     """
-    from scipy.spatial import cKDTree  # imported here: only ICP needs scipy
-
-    fixed = _as_cloud(fixed)
-    moving = _as_cloud(moving)
+    fixed = _as_cloud(fixed, "fixed")
+    moving = _as_cloud(moving, "moving")
     mu_f = fixed.mean(axis=0)
     mu_m = moving.mean(axis=0)
-    tree = cKDTree(fixed - mu_f)
+    sweep = _XSweep(fixed - mu_f)
 
     current = moving - mu_m
     rotation = np.eye(3)
     rms_trace = []
     prev_rms = None
+    bound_sq = None
     for _ in range(ICP_MAX_ITERS):
-        _, idx = tree.query(current)
-        targets = (fixed - mu_f)[idx]
+        idx = sweep.nearest(current, bound_sq)
+        targets = sweep.points[idx]
         rot, trans = _best_rigid(current, targets)
         current = current @ rot.T + trans
         rotation = rot @ rotation
         resid = current - targets
-        rms = float(np.sqrt((resid * resid).sum(axis=1).mean()))
+        bound_sq = (resid * resid).sum(axis=1)
+        rms = float(np.sqrt(bound_sq.mean()))
         rms_trace.append(rms)
         if prev_rms is not None and abs(prev_rms - rms) < ICP_TOL:
             break

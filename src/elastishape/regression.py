@@ -12,7 +12,7 @@ deficient or underdetermined is skipped and counted.  Full inference
 (`ols_fit`) runs only for the baseline and for the selected model.
 
 The linear algebra and the t distribution are numpy and the standard
-library only, so a `regress` process never imports scipy:
+library only:
 
 - `ols_fit` factors its design by Householder QR with column pivoting
   (Golub & Van Loan, *Matrix Computations*, 4th ed., Algorithm 5.4.1),

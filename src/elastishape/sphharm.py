@@ -37,8 +37,8 @@ harmonic of order m != 0 is sqrt(2) (-1)^m times the real part (m > 0)
 or the imaginary part (m < 0) of R_l^|m|.  One evaluation is then power
 tables, three gathers for the monomials and one matmul; the values,
 projection and cross product that follow divide by no coordinate, so
-they stay exact at the poles.  The values agree with scipy's to a few
-ulp.
+they stay exact at the poles.  The tests check the values against an
+independent implementation to a few ulp.
 """
 
 from __future__ import annotations

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastishape.baseline import (
+    ICP_MAX_ITERS,
+    ICP_TOL,
+    IcpResult,
+    _as_cloud,
+    _best_rigid,
+    _XSweep,
     class_distances,
     classical_mds,
     icp_register,
     knn_accuracy,
 )
+from elastishape.diffeos import pullback, random_diffeo
 from elastishape.errors import InputError
 from elastishape.grids import make_grid
-from elastishape.synthetic import gen_surface
+from elastishape.synthetic import gen_surface, shape_line_cohort
 
 from conftest import rotation_matrix
 
@@ -53,6 +63,110 @@ def test_icp_rms_never_increases():
         res = icp_register(cloud, moving)
         trace = np.array(res.rms_trace)
         assert (np.diff(trace) <= 1e-12).all()
+
+
+def test_icp_validation():
+    cloud = _cloud(2)
+    for fixed, moving, name in [(np.zeros((0, 3)), cloud, "fixed"),
+                                (cloud, np.zeros((0, 3)), "moving")]:
+        with pytest.raises(ValueError, match=f"{name} point cloud has no points"):
+            icp_register(fixed, moving)
+    with pytest.raises(ValueError, match=r"moving point cloud must have shape \(m, 3\)"):
+        icp_register(cloud, cloud[:, :2])
+    bad = cloud.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="fixed point cloud contains non-finite values"):
+        icp_register(bad, cloud)
+
+
+@given(
+    n=st.integers(1, 300),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    duplicates=st.booleans(),
+    one_x=st.booleans(),
+    bounded=st.booleans(),
+)
+@example(n=1, m=200, seed=1, duplicates=False, one_x=False, bounded=False)
+@example(n=1, m=1, seed=2, duplicates=False, one_x=False, bounded=True)
+@example(n=200, m=1, seed=3, duplicates=True, one_x=False, bounded=False)
+@example(n=250, m=150, seed=4, duplicates=True, one_x=True, bounded=False)
+@example(n=150, m=250, seed=5, duplicates=False, one_x=True, bounded=True)
+def test_sweep_finds_the_nearest_point(n, m, seed, duplicates, one_x, bounded):
+    rng = np.random.default_rng(seed)
+    fixed = rng.standard_normal((n, 3))
+    if duplicates:  # draws with repeats: ties at every distance
+        fixed = fixed[rng.integers(0, n, n)]
+    if one_x:  # every slab is the whole cloud
+        fixed[:, 0] = 0.25
+    queries = rng.standard_normal((m, 3))
+    queries[: m // 4] = fixed[rng.integers(0, n, m // 4)]  # distance zero
+    sweep = _XSweep(fixed)
+    bound_sq = None
+    if bounded:  # the distance to any point of the cloud bounds the search
+        diff = queries - sweep.points[rng.integers(0, n, m)]
+        bound_sq = (diff * diff).sum(axis=1)
+    chosen = sweep.points[sweep.nearest(queries, bound_sq)]
+    got = np.sqrt(((queries - chosen) ** 2).sum(axis=1))
+    want = np.sqrt(((queries[:, None, :] - fixed[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+    assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_sweep_keeps_the_bounding_point_in_its_slab():
+    # 1.5 - 1.5 rounds to 0 > -1e-20, so an unpadded slab would be empty
+    sweep = _XSweep(np.array([[-1e-20, 0.0, 0.0]]))
+    assert sweep.nearest(np.array([[1.5, 0.0, 0.0]])).tolist() == [0]
+
+
+def _kd_tree_icp_register(fixed, moving) -> IcpResult:
+    """`icp_register` as it was with scipy's k-d tree."""
+    fixed = _as_cloud(fixed, "fixed")
+    moving = _as_cloud(moving, "moving")
+    mu_f = fixed.mean(axis=0)
+    mu_m = moving.mean(axis=0)
+    tree = cKDTree(fixed - mu_f)
+
+    current = moving - mu_m
+    rotation = np.eye(3)
+    rms_trace = []
+    prev_rms = None
+    for _ in range(ICP_MAX_ITERS):
+        _, idx = tree.query(current)
+        targets = (fixed - mu_f)[idx]
+        rot, trans = _best_rigid(current, targets)
+        current = current @ rot.T + trans
+        rotation = rot @ rotation
+        resid = current - targets
+        rms = float(np.sqrt((resid * resid).sum(axis=1).mean()))
+        rms_trace.append(rms)
+        if prev_rms is not None and abs(prev_rms - rms) < ICP_TOL:
+            break
+        prev_rms = rms
+
+    aligned = current + mu_f
+    translation = aligned.mean(axis=0) - rotation @ moving.mean(axis=0)
+    return IcpResult(
+        aligned=aligned, rotation=rotation, translation=translation, rms_trace=rms_trace
+    )
+
+
+@pytest.mark.parametrize("grid_name", ["grid32", "grid64"])
+def test_icp_matches_the_kd_tree_reference(grid_name, request):
+    # clouds as `compare` builds them: a seeded cohort, each subject
+    # reparameterized by a seeded random diffeomorphism
+    grid = request.getfixturevalue(grid_name)
+    _, cohort = shape_line_cohort(grid, 7, 4, 0.5, 0.3, 3)
+    seeds = np.random.SeedSequence([7, 2]).generate_state(4)
+    clouds = [pullback(f, random_diffeo(grid, int(s), 0.5)).points.reshape(-1, 3)
+              for f, s in zip(cohort.surfaces, seeds)]
+    for moving in clouds[1:]:
+        got = icp_register(clouds[0], moving)
+        want = _kd_tree_icp_register(clouds[0], moving)
+        assert len(want.rms_trace) > 2
+        assert got.rms_trace == want.rms_trace
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.aligned, want.aligned)
+        assert np.array_equal(got.translation, want.translation)
 
 
 def _shifted_spheres(offsets, n=8):

@@ -3,10 +3,11 @@
 `import elastishape` loads no submodule; the first access to a public
 name loads them all.  `elastishape.cli` loads only `errors` and
 `fileio` (the CSV and JSON readers, which load no geometry), and each
-command imports what it runs: `--version` loads nothing more, `regress`
-adds `regression` alone, and no command but `compare` imports scipy
-(about 0.2-0.3 s and 30 MB on its first import), which only the ICP
-baseline's k-d tree needs.  Each check runs in a fresh interpreter.
+command imports what it runs: `--version` loads nothing more and
+`regress` adds `regression` alone.  No command imports scipy: the
+package is numpy and the standard library only, down to the ICP
+baseline's nearest-neighbour search, and only the tests use scipy, as
+an oracle.  Each check runs in a fresh interpreter.
 """
 
 import csv
@@ -56,15 +57,19 @@ def _run(args, cwd):
     return json.loads(_python(args, cwd).strip().splitlines()[-1])
 
 
-def test_import_version_and_simulate_load_no_scipy(tmp_path):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"n_subjects": 4,
-                               "registration": {"max_iters": 1, "rounds": 1}}))
+def test_import_version_simulate_and_compare_load_no_scipy(tmp_path):
+    fast = {"max_iters": 1, "rounds": 1}
+    sim_cfg = tmp_path / "sim.json"
+    sim_cfg.write_text(json.dumps({"n_subjects": 4, "registration": fast}))
+    cmp_cfg = tmp_path / "cmp.json"
+    cmp_cfg.write_text(json.dumps({"n_per_class": 2, "registration": fast}))
     runs = {
         "import": [],
         "--version": ["--version"],
-        "simulate": ["simulate", "--config", str(cfg), "--grid", "16x16",
+        "simulate": ["simulate", "--config", str(sim_cfg), "--grid", "16x16",
                      "--out", str(tmp_path / "sim")],
+        "compare": ["compare", "--config", str(cmp_cfg), "--grid", "16x16",
+                    "--out", str(tmp_path / "cmp")],
     }
     for name, args in runs.items():
         result = _run(args, tmp_path)
