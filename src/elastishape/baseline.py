@@ -16,6 +16,7 @@ matches, so after the first iteration the slabs are narrow.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import InputError
 from .registration import _proper_rotation
 from .shape_stats import diff_field
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "IcpResult",
@@ -132,7 +135,8 @@ def icp_register(fixed, moving) -> IcpResult:
     best rigid transform for those pairs, and applies it.  The matches
     come from an exact sweep over the x-sorted fixed cloud (`_XSweep`),
     where each point's distance to its previous match bounds the search.
-    Stops when the RMS change drops below ICP_TOL or after ICP_MAX_ITERS.
+    Stops when the RMS change drops below ICP_TOL or after ICP_MAX_ITERS;
+    a stop at the limit is logged at INFO with the last RMS change.
     Raises ValueError for a cloud that is not (m, 3), is empty or holds
     non-finite values.
     """
@@ -145,7 +149,6 @@ def icp_register(fixed, moving) -> IcpResult:
     current = moving - mu_m
     rotation = np.eye(3)
     rms_trace = []
-    prev_rms = None
     bound_sq = None
     for _ in range(ICP_MAX_ITERS):
         idx = sweep.nearest(current, bound_sq)
@@ -157,9 +160,11 @@ def icp_register(fixed, moving) -> IcpResult:
         bound_sq = (resid * resid).sum(axis=1)
         rms = float(np.sqrt(bound_sq.mean()))
         rms_trace.append(rms)
-        if prev_rms is not None and abs(prev_rms - rms) < ICP_TOL:
+        if len(rms_trace) > 1 and abs(rms_trace[-2] - rms) < ICP_TOL:
             break
-        prev_rms = rms
+    else:
+        logger.info("ICP stopped at the limit of %d iterations, the RMS still moving "
+                    "%.3g per iteration", ICP_MAX_ITERS, abs(rms_trace[-2] - rms_trace[-1]))
 
     aligned = current + mu_f
     translation = aligned.mean(axis=0) - rotation @ moving.mean(axis=0)

@@ -1,21 +1,26 @@
 """Command line pipeline driver.
 
 Every subcommand runs through one runner: it reads the command's
-defaults and the optional JSON config over them (unknown keys are
-rejected), overlays the common flags the command reads, resolves the
+defaults and the optional JSON config over them, resolves the
 registration options, runs the command's body, and writes the files the
 body returns plus a manifest.json with the fully resolved configuration
 and exactly the files written.  A body validates and computes before
 anything is written, so a run that fails leaves no output directory.
 
-Every command takes --out and --verbose.  simulate and compare also
-take --config --seed --threads --grid; mean takes --config --seed
---threads; register, pca and regress take --config; scores and
-export-path take no other common flag.
+Each setting has one source.  A command's defaults table is the only
+declaration of its config keys: a config may hold no other key, and
+each value must have the kind of its default (an integer, a number, or
+true or false).  Every command takes --out and --verbose.  simulate,
+compare and mean also take --config and --threads; register and pca
+take --config; scores, export-path and regress take only their own
+arguments.
 
 simulate and compare take their seeded two-class cohort from
 `synthetic.shape_line_cohort` and reparameterize each subject at
-random; this module builds no cohort of its own.
+random; this module builds no cohort of its own.  Their flow_degree
+is the harmonic degree of the cohort's bumps, not of the perturbing
+flows (`diffeos.RANDOM_FLOW_DEGREE`); it must lie below half the
+smaller grid dimension, at or above which the bumps alias on the grid.
 
 Exit codes: 0 success, 2 configuration error, 3 input error (a missing,
 malformed or inconsistent input file: surface, model or CSV table), 4
@@ -84,7 +89,7 @@ _SIM_DEFAULTS = {
 
 _CMP_DEFAULTS = {
     "n_per_class": 8,
-    "amplitude": 0.5,
+    "displacement": 0.5,
     "mean_amplitude": 0.3,
     "perturb_magnitude": 0.5,
     "flow_degree": 3,
@@ -93,23 +98,9 @@ _CMP_DEFAULTS = {
     "registration": {"max_iters": 40, "rounds": 2, "tol_rel": 1e-4},
 }
 
-# Config keys whose values must be integers, numbers (finite, as the JSON
-# reader checks) and JSON booleans.  A bool counts as neither of the first
-# two, and null is allowed only where it is the default.
-_INT_KEYS = ("n_subjects", "n_per_class", "flow_degree", "seed", "init_index",
-             "n_ps", "n_interact_ps")
-_FLOAT_KEYS = ("displacement", "mean_amplitude", "perturb_magnitude", "amplitude")
-_BOOL_KEYS = ("strict", "use_squared")
 # Shape-line cohort keys that must be positive, and those that must not be negative.
-_POSITIVE_KEYS = ("flow_degree", "displacement", "amplitude")
+_POSITIVE_KEYS = ("flow_degree", "displacement")
 _NONNEGATIVE_KEYS = ("seed", "mean_amplitude", "perturb_magnitude")
-
-
-def _pick(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -177,7 +168,7 @@ def _pairwise_field_dist(fields: list) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _perturbed_cohort(cfg: dict, n: int, displacement: float, salt: int):
+def _perturbed_cohort(cfg: dict, n: int, salt: int):
     """The shape-line cohort of a simulate or compare config, and each of
     its subjects reparameterized by a seeded random diffeomorphism."""
     from .diffeos import pullback, random_diffeo
@@ -186,7 +177,7 @@ def _perturbed_cohort(cfg: dict, n: int, displacement: float, salt: int):
 
     grid = make_grid(*_parse_grid(cfg["grid"]))
     mean, cohort = shape_line_cohort(
-        grid, cfg["seed"], n, displacement,
+        grid, cfg["seed"], n, float(cfg["displacement"]),
         float(cfg["mean_amplitude"]), cfg["flow_degree"],
     )
     seeds = np.random.SeedSequence([cfg["seed"], salt]).generate_state(n)
@@ -226,7 +217,7 @@ def cmd_simulate(args, cfg):
     if n < 4:
         raise ConfigError("n_subjects must be at least 4")
 
-    mean, cohort, perturbed = _perturbed_cohort(cfg, n, float(cfg["displacement"]), 1)
+    mean, cohort, perturbed = _perturbed_cohort(cfg, n, 1)
     ids = _ids(n)
     labels = cohort.labels
 
@@ -285,9 +276,8 @@ def cmd_mean(args, cfg):
 
     result = karcher_mean(
         surfaces, RegistrationOpts(**cfg["registration"]), init_index=init_index,
-        seed=cfg["seed"], threads=cfg["threads"],
+        threads=cfg["threads"],
     )
-    cfg["init_index"] = result.init_index
     artifacts = {"mean.surf": partial(save_surface, result.mean)}
     for i, f in enumerate(result.registered):
         artifacts[f"registered_{i:03d}.surf"] = partial(save_surface, f)
@@ -418,53 +408,42 @@ def cmd_regress(args, cfg):
     """Stepwise model suite over covariates and per-structure scores."""
     from .regression import CovariateTable, run_model_suite
 
-    if not isinstance(cfg["scores"], dict):
-        raise ConfigError("regress config: scores must be an object of structure names "
-                          f"and score table paths, got {cfg['scores']!r}")
-    # (where, structure name, path): the config's entries, then the flags'.
-    entries = [(f"regress config: scores key {s!r}", s, p) for s, p in cfg["scores"].items()]
-    flagged = set()
-    for entry in args.scores or []:
-        if "=" not in entry:
-            raise ConfigError(f"--scores needs STRUCT=PATH, got '{entry}'")
-        struct, path = entry.split("=", 1)
-        if struct in flagged:
-            raise ConfigError(f"--scores given twice for structure '{struct}'")
-        flagged.add(struct)
-        entries.append((f"--scores '{entry}'", struct, path))
     scores_map = {}
-    for where, struct, path in entries:
+    for entry in args.scores or []:
+        struct, eq, path = entry.partition("=")
+        if not eq:
+            raise ConfigError(f"--scores needs STRUCT=PATH, got '{entry}'")
+        if struct in scores_map:
+            raise ConfigError(f"--scores given twice for structure '{struct}'")
         if not struct or any(c in struct for c in ",()"):  # as in ps(shape,1)
-            raise ConfigError(f"{where}: structure name must be nonempty, "
+            raise ConfigError(f"--scores '{entry}': structure name must be nonempty, "
                               "without ',', '(' or ')'")
-        if not isinstance(path, str) or not path:
-            raise ConfigError(f"{where}: the path must be a string naming a file, "
-                              f"got {path!r}")
+        if not path:
+            raise ConfigError(f"--scores '{entry}': the path must name a file")
         scores_map[struct] = path
     if not scores_map:
-        raise ConfigError("no score tables (use --scores STRUCT=PATH or config)")
-    criterion = _pick(args.criterion, cfg["criterion"])
-    strict = cfg["strict"] and not args.lenient
+        raise ConfigError("no score tables (use --scores STRUCT=PATH)")
 
+    strict = not args.lenient
     cov = CovariateTable.from_csv(args.covariates, strict=strict)
     scores = {s: _read_scores_csv(p, cov) for s, p in sorted(scores_map.items())}
     available = min(m.shape[1] for m in scores.values())
-    n_ps = _pick(args.n_ps, cfg["n_ps"], min(15, available))
+    n_ps = min(15, available) if args.n_ps is None else args.n_ps
     if n_ps < 1:
         raise ConfigError(f"n_ps must be at least 1, got {n_ps}")
     if n_ps > available:
         raise InputError(
             f"n_ps {n_ps} exceeds available score columns ({available})"
         )
-    n_interact = _pick(args.n_interact_ps, cfg["n_interact_ps"], min(5, n_ps))
+    n_interact = min(5, n_ps) if args.n_interact_ps is None else args.n_interact_ps
     if not 0 <= n_interact <= n_ps:
         raise ConfigError(f"n_interact_ps must lie in 0..n_ps, got {n_interact}")
-    cfg.update(scores=scores_map, criterion=criterion,
+    cfg.update(scores=scores_map, criterion=args.criterion,
                n_ps=n_ps, n_interact_ps=n_interact, strict=strict,
                covariates=str(args.covariates))
 
     report = run_model_suite(
-        cov, scores, n_ps=n_ps, n_interact_ps=n_interact, criterion=criterion
+        cov, scores, n_ps=n_ps, n_interact_ps=n_interact, criterion=args.criterion
     )
     model_rows, term_rows = [], []
     for row in report:
@@ -511,7 +490,7 @@ def cmd_compare(args, cfg):
         raise ConfigError("n_per_class must be at least 2")
     n = 2 * m
 
-    mean, cohort, perturbed = _perturbed_cohort(cfg, n, float(cfg["amplitude"]), 2)
+    mean, cohort, perturbed = _perturbed_cohort(cfg, n, 2)
     labels = cohort.labels
 
     opts = RegistrationOpts(**cfg["registration"])
@@ -547,28 +526,16 @@ def _arg(*names, **kwargs):
     return names, kwargs
 
 
-# Common flags, in help order.  Every command takes --out and --verbose.
-_COMMON = {
-    "config": _arg("--config", default=None, help="JSON config file"),
-    "seed": _arg("--seed", type=int, default=None, help="master seed"),
-    "out": _arg("--out", default=None, help="output directory (default <command>-out)"),
-    "threads": _arg("--threads", type=int, default=1,
-                    help="registration threads (1 registers serially)"),
-    "grid": _arg("--grid", default=None, help="grid dims as N_UxN_V"),
-    "verbose": _arg("--verbose", action="store_true", help="info logging"),
-}
-
-
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: its body (see `_run`), help text, the common flags
-    it reads besides --out and --verbose, its config keys with their
-    defaults, and its own arguments."""
+    """A subcommand: its body (see `_run`), help text, its config keys
+    with their defaults (a command without any takes no --config),
+    whether it takes --threads, and its own arguments."""
 
     body: Callable
     help: str
-    flags: tuple = ()
     defaults: dict = field(default_factory=dict)
+    threads: bool = False
     arguments: tuple = ()
 
 
@@ -576,20 +543,18 @@ _MODEL = _arg("--model", required=True, help="model file")
 _COMMANDS = {
     "simulate": _Command(
         cmd_simulate, "distance/accuracy study across reparameterization stages",
-        ("config", "seed", "threads", "grid"), _SIM_DEFAULTS),
+        _SIM_DEFAULTS, threads=True),
     "register": _Command(
-        cmd_register, "align one surface to another", ("config",), {"registration": {}},
-        (_arg("fixed", help="target surface file"),
-         _arg("moving", help="surface to align"))),
+        cmd_register, "align one surface to another", {"registration": {}},
+        arguments=(_arg("fixed", help="target surface file"),
+                   _arg("moving", help="surface to align"))),
     "mean": _Command(
-        cmd_mean, "iterative mean shape of a cohort", ("config", "seed", "threads"),
-        {"init_index": 0, "registration": {}},
-        (_arg("surfaces", nargs="+", help="surface files"),)),
+        cmd_mean, "iterative mean shape of a cohort", {"init_index": 0, "registration": {}},
+        threads=True, arguments=(_arg("surfaces", nargs="+", help="surface files"),)),
     "pca": _Command(
-        cmd_pca, "principal components of registered surfaces", ("config",),
-        {"use_squared": False},
-        (_arg("--mean", required=True, help="mean surface file"),
-         _arg("surfaces", nargs="+", help="registered surface files"))),
+        cmd_pca, "principal components of registered surfaces", {"use_squared": False},
+        arguments=(_arg("--mean", required=True, help="mean surface file"),
+                   _arg("surfaces", nargs="+", help="registered surface files"))),
     "scores": _Command(
         cmd_scores, "principal scores under a saved model",
         arguments=(_MODEL,
@@ -603,54 +568,59 @@ _COMMANDS = {
                    _arg("--t-max", type=float, default=2.0, dest="t_max",
                         help="path endpoint in singular-value units"))),
     "regress": _Command(
-        cmd_regress, "stepwise covariate/score model suite", ("config",),
-        {"scores": {}, "criterion": "aic", "n_ps": None, "n_interact_ps": None,
-         "strict": True},
-        (_arg("--covariates", required=True, help="covariate CSV"),
-         _arg("--scores", action="append", default=None, metavar="STRUCT=PATH",
-              help="score table for one structure"),
-         _arg("--criterion", choices=("aic", "bic"), default=None),
-         _arg("--n-ps", type=int, default=None, dest="n_ps"),
-         _arg("--n-interact-ps", type=int, default=None, dest="n_interact_ps"),
-         _arg("--lenient", action="store_true",
-              help="log range violations instead of failing"))),
+        cmd_regress, "stepwise covariate/score model suite",
+        arguments=(_arg("--covariates", required=True, help="covariate CSV"),
+                   _arg("--scores", action="append", default=None, metavar="STRUCT=PATH",
+                        help="score table for one structure"),
+                   _arg("--criterion", choices=("aic", "bic"), default="aic"),
+                   _arg("--n-ps", type=int, default=None, dest="n_ps"),
+                   _arg("--n-interact-ps", type=int, default=None, dest="n_interact_ps"),
+                   _arg("--lenient", action="store_true",
+                        help="log range violations instead of failing"))),
     "compare": _Command(
         cmd_compare, "elastic vs vertex-wise pipeline comparison",
-        ("config", "seed", "threads", "grid"), _CMP_DEFAULTS),
+        _CMP_DEFAULTS, threads=True),
 }
 
 
 def _resolve(cmd: _Command, args) -> dict:
-    """The command's config: defaults, the --config file, then the flags."""
-    if "threads" in cmd.flags and args.threads < 1:
+    """The command's config: its defaults, then the --config file over them.
+
+    A value must have its default's kind: a JSON boolean for a bool, an
+    integer for an int, any number (finite, as the JSON reader checks) for
+    a float; a bool is neither of the last two.
+    """
+    if cmd.threads and args.threads < 1:
         raise ConfigError("--threads must be at least 1")
-    if "seed" in cmd.flags and args.seed is not None and args.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
-    if "config" not in cmd.flags:
+    if not cmd.defaults:
         return {}
     loaded = {} if args.config is None else load_json_object(args.config)
     cfg = {**cmd.defaults, **loaded}
     check_keys(cfg, cmd.defaults, f"{args.command} config")
-    for key in (*_INT_KEYS, *_FLOAT_KEYS, *_BOOL_KEYS):
-        value = cfg.get(key)
-        if key not in cfg or (value is None and cmd.defaults[key] is None):
-            continue
-        if key in _BOOL_KEYS:
+    for key, default in cmd.defaults.items():
+        value = cfg[key]
+        if isinstance(default, bool):
             kind, valid = "true or false", isinstance(value, bool)
-        else:
-            kind, types = ("an integer", int) if key in _INT_KEYS else ("a number", (int, float))
+        elif isinstance(default, (int, float)):
+            whole = isinstance(default, int)
+            kind, types = ("an integer", int) if whole else ("a number", (int, float))
             valid = isinstance(value, types) and not isinstance(value, bool)
+        else:
+            continue
         if not valid:
             raise ConfigError(f"{args.command} config: {key} must be {kind}, got {value!r}")
         if (key in _POSITIVE_KEYS and value <= 0) or (key in _NONNEGATIVE_KEYS and value < 0):
             bound = "positive" if key in _POSITIVE_KEYS else "nonnegative"
             raise ConfigError(f"{args.command} config: {key} must be {bound}, got {value!r}")
-    if "seed" in cmd.flags:
-        cfg["seed"] = _pick(args.seed, cfg.get("seed"))
-    if "threads" in cmd.flags:
+    if cmd.threads:
         cfg["threads"] = args.threads
-    if "grid" in cmd.flags:
-        cfg["grid"] = "%dx%d" % _parse_grid(_pick(args.grid, cfg["grid"]))
+    if "grid" in cfg:
+        n_u, n_v = _parse_grid(cfg["grid"])
+        cfg["grid"] = f"{n_u}x{n_v}"
+        limit = min(n_u, n_v) / 2
+        if cfg["flow_degree"] >= limit:
+            raise ConfigError(f"{args.command} config: flow_degree must be below {limit:g} "
+                              f"on grid {cfg['grid']}, got {cfg['flow_degree']!r}")
     if "registration" in cfg:
         if not isinstance(cfg["registration"], dict):
             raise ConfigError("registration options must be a JSON object")
@@ -689,9 +659,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        wanted = {"out", "verbose", *cmd.flags}
-        common = [spec for flag, spec in _COMMON.items() if flag in wanted]
-        for names, kwargs in (*common, *cmd.arguments):
+        if cmd.defaults:
+            p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--out", default=None, help="output directory (default <command>-out)")
+        if cmd.threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="registration threads (1 registers serially)")
+        p.add_argument("--verbose", action="store_true", help="info logging")
+        for names, kwargs in cmd.arguments:
             p.add_argument(*names, **kwargs)
     return parser
 

@@ -72,7 +72,8 @@ class RegistrationOpts:
     rest of the search is module constants.
 
     Raises ValueError for a max_iters or rounds that is not an integer (a
-    bool is not) or is negative, and for a negative or NaN tol_rel.
+    bool is not) or is negative, and for a tol_rel that is not a number (a
+    bool is not), is negative or is NaN.
     """
 
     max_iters: int = 100
@@ -88,6 +89,10 @@ class RegistrationOpts:
             raise ValueError(
                 f"max_iters and rounds must be >= 0, got {self.max_iters} and {self.rounds}"
             )
+        if isinstance(self.tol_rel, bool) or not isinstance(
+            self.tol_rel, (int, float, np.integer, np.floating)
+        ):
+            raise ValueError(f"tol_rel must be a number, got {self.tol_rel!r}")
         if not self.tol_rel >= 0.0:
             raise ValueError(f"tol_rel must be >= 0, got {self.tol_rel}")
 

@@ -58,7 +58,6 @@ class ShapeModel:
 class KarcherResult:
     mean: Surface
     registered: list
-    init_index: int
     variance_trace: list = field(default_factory=list)
 
 
@@ -83,25 +82,23 @@ def karcher_mean(
     surfaces: list,
     opts: RegistrationOpts | None = None,
     init_index: int = 0,
-    seed: int | None = None,
     threads: int = 1,
 ) -> KarcherResult:
     """Iterative mean shape of a cohort.
 
-    Starts from a designated surface (init_index, or a seeded random pick
-    when seed is given), then runs a fixed number of outer iterations,
+    Starts from surfaces[init_index] (the `mean` command's config key
+    `init_index` picks it), then runs a fixed number of outer iterations,
     each registering every surface to the current mean and replacing the
     mean with the arithmetic mean of the registered surfaces.  A final
     registration pass aligns all inputs to the converged mean.  The
     summed squared distances per iteration are logged and returned.
+    Raises ValueError for no surfaces or surfaces on different grids.
     """
     if len(surfaces) < 1:
         raise ValueError("need at least one surface")
     grid = surfaces[0].grid
     if not all(f.grid.same_dims(grid) for f in surfaces):
         raise ValueError("all surfaces must share grid dimensions")
-    if seed is not None:
-        init_index = int(np.random.default_rng(seed).integers(len(surfaces)))
     mean = surfaces[init_index]
 
     variance_trace = []
@@ -120,7 +117,6 @@ def karcher_mean(
     return KarcherResult(
         mean=mean,
         registered=[r.aligned for r in final],
-        init_index=init_index,
         variance_trace=variance_trace,
     )
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from elastishape import baseline
 from elastishape.baseline import (
     ICP_MAX_ITERS,
     ICP_TOL,
@@ -63,6 +66,22 @@ def test_icp_rms_never_increases():
         res = icp_register(cloud, moving)
         trace = np.array(res.rms_trace)
         assert (np.diff(trace) <= 1e-12).all()
+
+
+def test_icp_logs_a_stop_at_the_iteration_limit(monkeypatch, caplog):
+    cloud = _cloud(3)
+    noise = 0.05 * np.random.default_rng(4).standard_normal(cloud.shape)
+    moving = cloud @ rotation_matrix("z", 0.7).T + noise
+    monkeypatch.setattr(baseline, "ICP_MAX_ITERS", 3)
+    with caplog.at_level(logging.INFO, logger="elastishape.baseline"):
+        trace = icp_register(cloud, moving).rms_trace
+        assert len(trace) == 3 and abs(trace[1] - trace[2]) >= ICP_TOL
+        assert [r.getMessage() for r in caplog.records] == [
+            "ICP stopped at the limit of 3 iterations, the RMS still moving "
+            f"{abs(trace[1] - trace[2]):.3g} per iteration"]
+        caplog.clear()
+        assert len(icp_register(cloud, cloud).rms_trace) < 3
+        assert not caplog.records
 
 
 def test_icp_validation():

@@ -202,10 +202,12 @@ def test_register_rejects_mismatched_grids(grid16, grid32):
         pytest.param({"max_iters": 2.5}, id="bad11"),
         pytest.param({"max_iters": True}, id="bad12"),
         pytest.param({"rounds": 2.0}, id="bad13"),
+        pytest.param({"tol_rel": True}, id="bad14"),
+        pytest.param({"tol_rel": "1e-4"}, id="bad15"),
     ],
 )
 def test_registration_opts_reject_values_that_disable_the_search(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         RegistrationOpts(**bad)
 
 

@@ -60,16 +60,14 @@ def _run(args, cwd):
 def test_import_version_simulate_and_compare_load_no_scipy(tmp_path):
     fast = {"max_iters": 1, "rounds": 1}
     sim_cfg = tmp_path / "sim.json"
-    sim_cfg.write_text(json.dumps({"n_subjects": 4, "registration": fast}))
+    sim_cfg.write_text(json.dumps({"n_subjects": 4, "grid": "16x16", "registration": fast}))
     cmp_cfg = tmp_path / "cmp.json"
-    cmp_cfg.write_text(json.dumps({"n_per_class": 2, "registration": fast}))
+    cmp_cfg.write_text(json.dumps({"n_per_class": 2, "grid": "16x16", "registration": fast}))
     runs = {
         "import": [],
         "--version": ["--version"],
-        "simulate": ["simulate", "--config", str(sim_cfg), "--grid", "16x16",
-                     "--out", str(tmp_path / "sim")],
-        "compare": ["compare", "--config", str(cmp_cfg), "--grid", "16x16",
-                    "--out", str(tmp_path / "cmp")],
+        "simulate": ["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "sim")],
+        "compare": ["compare", "--config", str(cmp_cfg), "--out", str(tmp_path / "cmp")],
     }
     for name, args in runs.items():
         result = _run(args, tmp_path)
