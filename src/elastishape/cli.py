@@ -3,9 +3,13 @@
 Every subcommand runs through one runner: it reads the command's
 defaults and the optional JSON config over them, resolves the
 registration options, runs the command's body, and writes the files the
-body returns plus a manifest.json with the fully resolved configuration
-and exactly the files written.  A body validates and computes before
-anything is written, so a run that fails leaves no output directory.
+body returns plus a manifest.json with the fully resolved configuration,
+the command's other arguments, and exactly the files written.  The
+manifest's "config" holds only keys the command's --config accepts, so
+fed back it reproduces the run; flags and the values a body resolves
+(--threads, a model path, regress's --n-ps) are under "arguments".  A
+body validates and computes before anything is written, so a run that
+fails leaves no output directory.
 
 Each setting has one source.  A command's defaults table is the only
 declaration of its config keys: a config may hold no other key, and
@@ -54,12 +58,10 @@ from .errors import ConfigError, InputError, NumericalError
 from .fileio import (
     check_keys,
     export_obj,
-    id_column,
     load_json_object,
     load_model,
     load_surface,
-    numeric_columns,
-    read_csv,
+    read_numeric_table,
     save_model,
     save_surface,
     write_csv,
@@ -104,10 +106,15 @@ _NONNEGATIVE_KEYS = ("seed", "mean_amplitude", "perturb_magnitude")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
+    from .grids import MIN_GRID_DIM
+
     m = re.fullmatch(r"(\d+)x(\d+)", str(text).strip().lower())
     if not m:
         raise ConfigError(f"bad grid '{text}', expected N_UxN_V like 32x32")
-    return int(m.group(1)), int(m.group(2))
+    dims = int(m.group(1)), int(m.group(2))
+    if min(dims) < MIN_GRID_DIM:
+        raise ConfigError(f"bad grid '{text}': each dimension must be at least {MIN_GRID_DIM}")
+    return dims
 
 
 def _reg_opts(overrides: dict) -> RegistrationOpts:
@@ -127,11 +134,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, config: dict, inputs, outputs) -> None:
+def _write_manifest(out: Path, args, config: dict, inputs, outputs) -> None:
+    """The run's record: its config (a --config file that reproduces it),
+    its other arguments as the body resolved them, and the files it read
+    and wrote."""
+    arguments = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config", "out", "verbose")}
     payload = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": config,
+        "arguments": arguments,
         "inputs": [str(p) for p in inputs],
         "outputs": sorted(outputs),
     }
@@ -226,7 +239,7 @@ def cmd_simulate(args, cfg):
     stages["perturbed"] = _pairwise_field_dist([srnf(f) for f in perturbed])
 
     opts = RegistrationOpts(**cfg["registration"])
-    results = register_cohort(mean, perturbed, opts, threads=cfg["threads"])
+    results = register_cohort(mean, perturbed, opts, threads=args.threads)
     stages["reregistered"] = _pairwise_field_dist([srnf(r.aligned) for r in results])
 
     artifacts = {}
@@ -276,7 +289,7 @@ def cmd_mean(args, cfg):
 
     result = karcher_mean(
         surfaces, RegistrationOpts(**cfg["registration"]), init_index=init_index,
-        threads=cfg["threads"],
+        threads=args.threads,
     )
     artifacts = {"mean.surf": partial(save_surface, result.mean)}
     for i, f in enumerate(result.registered):
@@ -292,8 +305,6 @@ def cmd_pca(args, cfg):
     from .shape_stats import cumulative_variance, shape_pca
 
     mean, *surfaces = _load_surfaces([args.mean, *args.surfaces])
-    cfg.update(mean=str(args.mean))
-
     model = shape_pca(surfaces, mean)
     cv = cumulative_variance(model, use_squared=cfg["use_squared"])
     table = np.column_stack([np.arange(1, len(cv) + 1), cv])
@@ -319,7 +330,7 @@ def cmd_scores(args, cfg):
         raise ConfigError(
             f"depth {depth} out of range 1..{model.n_directions}"
         )
-    cfg.update(depth=depth, model=str(args.model))
+    args.depth = depth
 
     ids, score_rows, err_rows = [], [], []
     worst = 0.0
@@ -365,7 +376,6 @@ def cmd_export_path(args, cfg):
         raise ConfigError("frames must be at least 2")
     if not np.isfinite(args.t_max) or args.t_max <= 0:
         raise ConfigError(f"t-max must be a positive finite number, got {args.t_max}")
-    cfg.update(component=k, frames=args.frames, t_max=args.t_max, model=str(args.model))
 
     t_values = np.linspace(-args.t_max, args.t_max, args.frames)
     frames = pc_path(model, k - 1, t_values)
@@ -384,22 +394,26 @@ def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
     match the covariate file and the row count must agree.  Every score
     must be a finite number.
     """
-    table = read_csv(path)
-    first = 1 if table.header[0].strip().lower() == "id" else 0
-    if len(table.header) == first:
-        raise InputError(f"{table.path}: no score columns")
-    mat = np.column_stack(numeric_columns(table, range(first, len(table.header))))
-    if first:
-        row_of = {s: i for i, s in enumerate(id_column(table, 0))}
+    path = Path(path)
+
+    def columns(header):
+        first = 1 if header[0].strip().lower() == "id" else 0
+        if len(header) == first:
+            raise InputError(f"{path}: no score columns")
+        return (0 if first else None), range(first, len(header))
+
+    ids, mat = read_numeric_table(path, columns)
+    if ids is not None:
+        row_of = {s: i for i, s in enumerate(ids)}
         missing = [s for s in cov.ids if s not in row_of]
         if missing:
             raise InputError(
-                f"{table.path}: missing scores for subjects: {', '.join(missing[:5])}"
+                f"{path}: missing scores for subjects: {', '.join(missing[:5])}"
             )
         mat = mat[[row_of[s] for s in cov.ids]]
     if mat.shape[0] != cov.n_subjects:
         raise InputError(
-            f"{table.path}: {mat.shape[0]} rows for {cov.n_subjects} subjects"
+            f"{path}: {mat.shape[0]} rows for {cov.n_subjects} subjects"
         )
     return mat
 
@@ -438,9 +452,7 @@ def cmd_regress(args, cfg):
     n_interact = min(5, n_ps) if args.n_interact_ps is None else args.n_interact_ps
     if not 0 <= n_interact <= n_ps:
         raise ConfigError(f"n_interact_ps must lie in 0..n_ps, got {n_interact}")
-    cfg.update(scores=scores_map, criterion=args.criterion,
-               n_ps=n_ps, n_interact_ps=n_interact, strict=strict,
-               covariates=str(args.covariates))
+    args.n_ps, args.n_interact_ps = n_ps, n_interact
 
     report = run_model_suite(
         cov, scores, n_ps=n_ps, n_interact_ps=n_interact, criterion=args.criterion
@@ -497,7 +509,7 @@ def cmd_compare(args, cfg):
     reference = perturbed[0].points.reshape(-1, 3)
     arms = {
         "elastic": [r.aligned for r in
-                    register_cohort(mean, perturbed, opts, threads=cfg["threads"])],
+                    register_cohort(mean, perturbed, opts, threads=args.threads)],
         "vertex": [mean.with_points(icp_register(reference, f.points.reshape(-1, 3))
                                     .aligned.reshape(mean.points.shape)) for f in perturbed],
     }
@@ -612,8 +624,6 @@ def _resolve(cmd: _Command, args) -> dict:
         if (key in _POSITIVE_KEYS and value <= 0) or (key in _NONNEGATIVE_KEYS and value < 0):
             bound = "positive" if key in _POSITIVE_KEYS else "nonnegative"
             raise ConfigError(f"{args.command} config: {key} must be {bound}, got {value!r}")
-    if cmd.threads:
-        cfg["threads"] = args.threads
     if "grid" in cfg:
         n_u, n_v = _parse_grid(cfg["grid"])
         cfg["grid"] = f"{n_u}x{n_v}"
@@ -634,15 +644,15 @@ def _run(cmd: _Command, args) -> int:
 
     The body returns (inputs, artifacts, summary): the input paths, output
     file name -> function writing that file to a path, and lines to print.
-    It adds the values it resolves itself to the config it is given, which
-    the manifest records.
+    An argument whose value the body resolves (a default of "all", say) it
+    sets on `args`, which the manifest records beside the config.
     """
     cfg = _resolve(cmd, args)
     inputs, artifacts, summary = cmd.body(args, cfg)
     out = _out_dir(args)
     for name, write in artifacts.items():
         write(out / name)
-    _write_manifest(out, args.command, cfg, inputs, artifacts)
+    _write_manifest(out, args, cfg, inputs, artifacts)
     for line in summary:
         print(line)
     return 0

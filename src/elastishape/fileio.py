@@ -18,6 +18,20 @@ differs from the header's, a repeated id, and a required number that is
 ``not numeric`` or ``not finite`` (``line N, field 'X': not finite
 ('nan')``).
 
+`read_numeric_table` reads a table of ids and numbers, as `regress`
+takes them, in one `np.loadtxt` pass over every column: numpy's C
+parser gives the numbers, and a converter collects the ids.  It keeps
+that result only when it is what the Python path gives: the header line
+has no quote or bare CR, the text has no ASCII separator (0x1c-0x1f,
+which numpy strips as whitespace where `float` refuses them), every
+column parses, one row comes from each line after the header (numpy
+skips blank lines and would join a quoted line break), the row width is
+the header's, every selected number is finite and no id repeats.
+Otherwise the Python path (`read_csv`, then `numeric_columns` and
+`id_column`: one `float` per cell) reads the table again, and gives the
+same values (``1_0`` is 10 to `float` but not to numpy) or the
+`ParseError` above.
+
 A JSON config is one UTF-8 object with known keys, with or without a
 byte order mark; a missing file, invalid JSON, another top-level value
 or an unknown key raises `ConfigError`, as does a number that is not
@@ -30,16 +44,17 @@ are imported by the surface and model readers that build their types.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, InputError, ParseError
 
 if TYPE_CHECKING:
     from .grids import Surface
@@ -62,6 +77,7 @@ __all__ = [
     "read_csv",
     "numeric_columns",
     "id_column",
+    "read_numeric_table",
 ]
 
 
@@ -319,7 +335,7 @@ def read_csv(path) -> CsvTable:
             records = list(csv.reader(fh))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: not a readable CSV table ({exc})") from exc
-    if not records:
+    if not any(records):  # no line, or blank lines only
         raise ParseError(f"{path}: empty CSV")
     header, rows = records[0], records[1:]
     if not rows:
@@ -336,17 +352,12 @@ def numeric_columns(table: CsvTable, index) -> list:
     """The columns at the given positions as contiguous float arrays;
     ParseError names the first cell, in file order, that is not a finite
     number."""
-    cells = list(zip(*table.rows))
-    try:
-        columns = [np.array(list(map(float, cells[j]))) for j in index]
-        if all(np.isfinite(c).all() for c in columns):
-            return columns
-    except ValueError:
-        pass
+    columns = [[] for _ in index]
     for line, row in enumerate(table.rows, start=2):
-        for j in index:
+        for column, j in zip(columns, index):
             try:
-                problem = None if math.isfinite(float(row[j])) else "not finite"
+                value = float(row[j])
+                problem = None if math.isfinite(value) else "not finite"
             except ValueError:
                 problem = "not numeric"
             if problem:
@@ -354,6 +365,8 @@ def numeric_columns(table: CsvTable, index) -> list:
                     f"{table.path}: line {line}, field '{table.header[j]}': "
                     f"{problem} ({row[j]!r})"
                 )
+            column.append(value)
+    return [np.array(column) for column in columns]
 
 
 def id_column(table: CsvTable, j: int) -> list:
@@ -368,3 +381,66 @@ def id_column(table: CsvTable, j: int) -> list:
             )
         line_of[row[j]] = line
     return list(line_of)
+
+
+# The ASCII separators, which numpy's number parser strips as whitespace
+# and `float` refuses: the one input numpy takes and `float` does not.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _numpy_table(path: Path, columns: Callable):
+    """numpy's parse of the table as `read_numeric_table` returns it, or
+    None where a check fails (see the module docstring)."""
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    head, _, body = text.partition("\n")
+    head = head.removesuffix("\r")
+    if not head or '"' in head or "\r" in head or not body or body.isspace() \
+            or any(c in text for c in _SEPARATORS):
+        return None
+    header = head.split(",")
+    try:
+        id_index, value_index = columns(header)
+    except InputError:  # the Python path reports a malformed row first
+        return None
+    ids = []
+
+    def take(field: str) -> float:
+        ids.append(field)
+        return 0.0
+
+    try:
+        matrix = np.loadtxt(
+            io.StringIO(body), delimiter=",", quotechar='"', comments=None, ndmin=2,
+            converters=None if id_index is None else {id_index: take},
+        )
+    except ValueError:
+        return None
+    if matrix.shape != (body.count("\n") + (not body.endswith("\n")), len(header)):
+        return None
+    values = matrix[:, value_index]
+    if not np.isfinite(values).all() or len(set(ids)) < len(ids):
+        return None
+    return (None if id_index is None else ids), values
+
+
+def read_numeric_table(path, columns: Callable):
+    """The ids and numbers of a table: (ids or None, float matrix).
+
+    `columns(header)` returns the index of the id column (None if the
+    table has none) and the indices of the value columns, whose numbers
+    are the matrix's columns in that order; it raises `InputError` for a
+    header it rejects.  numpy parses the table where it gives the same
+    result as the Python path, which reads it otherwise (see the module
+    docstring).
+    """
+    path = Path(path)
+    parsed = _numpy_table(path, columns)
+    if parsed is not None:
+        return parsed
+    table = read_csv(path)
+    id_index, value_index = columns(table.header)
+    values = np.column_stack(numeric_columns(table, value_index))
+    return (None if id_index is None else id_column(table, id_index)), values

@@ -32,11 +32,12 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, NumericalError, ParseError, RankDeficiencyError
-from .fileio import id_column, numeric_columns, read_csv, write_csv
+from .fileio import read_numeric_table, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -96,26 +97,32 @@ class CovariateTable:
         Every field but the id must be a finite number.  Declared score
         ranges are enforced when strict; otherwise violations are logged
         and kept.  Labels must be 0 or 1 either way.
+
+        `read_numeric_table` parses the table in numpy's C parser; the
+        Python path reads it instead when a check fails, and diagnoses a
+        malformed table by file, line and field.
         """
-        source = read_csv(path)
-        missing = [c for c in COVARIATE_COLUMNS if c not in source.header]
-        if missing:
-            raise ParseError(
-                f"{source.path}: missing required columns: {', '.join(missing)}"
-            )
-        index = [source.header.index(c) for c in COVARIATE_COLUMNS]
-        values = numeric_columns(source, index[1:])
-        table = cls(id_column(source, index[0]), **dict(zip(COVARIATE_COLUMNS[1:], values)))
+        path = Path(path)
+
+        def columns(header):
+            missing = [c for c in COVARIATE_COLUMNS if c not in header]
+            if missing:
+                raise ParseError(f"{path}: missing required columns: {', '.join(missing)}")
+            index = [header.index(c) for c in COVARIATE_COLUMNS]
+            return index[0], index[1:]
+
+        ids, values = read_numeric_table(path, columns)
+        table = cls(ids, **dict(zip(COVARIATE_COLUMNS[1:], np.ascontiguousarray(values.T))))
         bad_label = ~np.isin(table.label, (0.0, 1.0))
         if bad_label.any():
             line = int(np.argmax(bad_label)) + 2
-            raise InputError(f"{source.path}: line {line}, field 'label': must be 0 or 1")
+            raise InputError(f"{path}: line {line}, field 'label': must be 0 or 1")
         for name, (lo, hi) in _RANGES.items():
             vals = getattr(table, name)
             outside = (vals < lo) | (vals > hi)
             if outside.any():
                 msg = (
-                    f"{source.path}: column '{name}' outside declared range "
+                    f"{path}: column '{name}' outside declared range "
                     f"[{lo:g}, {hi:g}] in {int(outside.sum())} row(s)"
                 )
                 if strict:

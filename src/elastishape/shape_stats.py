@@ -67,10 +67,12 @@ def register_cohort(
     """Register every surface to a common template, optionally threaded.
 
     Threads share the interpreter lock, and the search is mostly small
-    numpy calls, so threads=2 is still slower than serial: on 8 subjects
-    at 32x32 (max_iters=8, rounds=2, one BLAS thread, 2 CPUs) it took
-    1.24x the serial time (medians of 9 runs, 2.02 s against 1.63 s).
-    The results are identical to serial ones.
+    numpy calls, so threads=2 is still slower than serial.  The loss is
+    the lock passing between CPUs, not the pool: a `compare` process (3
+    subjects per class at 32x32, max_iters=8, rounds=2, one BLAS thread)
+    took 1.41 s with --threads 2 against 1.17 s serial on 2 CPUs, and
+    1.13 s against 1.11 s pinned to one CPU (medians of 7 interleaved
+    runs each).  The results are identical to serial ones.
     """
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

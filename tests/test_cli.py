@@ -180,6 +180,15 @@ def test_shape_line_values_out_of_range_exit_2_naming_the_key(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0x8", "8x0", "7x8"])
+def test_a_grid_below_the_minimum_exits_2_naming_the_grid(tmp_path, capsys, grid):
+    cfg = _write_config(tmp_path, {"grid": grid})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"bad grid '{grid}': each dimension must be at least 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "payload", [{"use_squared": "yes"}, {"use_squared": 1}],
     ids=["use_squared-string", "use_squared-one"],
@@ -414,7 +423,8 @@ def test_regress_command(regress_inputs, tmp_path, capsys):
     assert [int(r[0]) for r in rows] == list(range(1, 11))
     assert (out / "selected_terms.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["criterion"] == "bic"
+    assert manifest["config"] == {}
+    assert manifest["arguments"]["criterion"] == "bic"
 
 
 def _regress_tables(cov, scores, out, *flags):
@@ -768,7 +778,7 @@ def _reg(**kwargs):
 @pytest.fixture(scope="module")
 def runs(workspace, regress_inputs, tmp_path_factory):
     """Every command once on tiny inputs (simulate twice), with the
-    manifest config each should record."""
+    manifest config and arguments each should record."""
     root = tmp_path_factory.mktemp("runs")
     ws, model = str(workspace), str(workspace / "pca-out" / "model.eshm")
     members = [f"{ws}/member_{i}.surf" for i in range(2)]
@@ -783,51 +793,69 @@ def runs(workspace, regress_inputs, tmp_path_factory):
     sim_expected = {
         "n_subjects": 4, "displacement": 1.2, "mean_amplitude": 0.3,
         "perturb_magnitude": 0.3, "flow_degree": 3, "seed": 3, "grid": "16x16",
-        "threads": 1, "registration": _reg(max_iters=2, rounds=2, tol_rel=1e-4),
+        "registration": _reg(max_iters=2, rounds=2, tol_rel=1e-4),
     }
     table = {
-        "simulate": (["--config", sim_cfg], sim_expected, []),
-        "simulate-again": (["--config", sim_cfg], sim_expected, []),
+        "simulate": (["--config", sim_cfg], sim_expected, {"threads": 1}, []),
+        "simulate-again": (["--config", sim_cfg], sim_expected, {"threads": 1}, []),
         "compare": (["--config", cmp_cfg, "--threads", "2"], {
             "n_per_class": 2, "displacement": 0.5, "mean_amplitude": 0.3,
             "perturb_magnitude": 0.5, "flow_degree": 3, "seed": 0, "grid": "16x16",
-            "threads": 2, "registration": _reg(**fast, tol_rel=1e-4)}, []),
+            "registration": _reg(**fast, tol_rel=1e-4)}, {"threads": 2}, []),
         "register": ([f"{ws}/base.surf", f"{ws}/rotated.surf", "--config", reg_cfg],
                      {"registration": _reg(**fast)},
+                     {"fixed": f"{ws}/base.surf", "moving": f"{ws}/rotated.surf"},
                      [f"{ws}/base.surf", f"{ws}/rotated.surf"]),
         "mean": ([*members, "--config", reg_cfg],
-                 {"init_index": 0, "registration": _reg(**fast), "threads": 1}, members),
-        "scores": (["--model", model, "--depth", "2", *members],
-                   {"depth": 2, "model": model}, [model, *members]),
-        "export-path": (["--model", model, "--frames", "3"],
-                        {"component": 1, "frames": 3, "t_max": 2.0, "model": model},
+                 {"init_index": 0, "registration": _reg(**fast)},
+                 {"threads": 1, "surfaces": members}, members),
+        "scores": (["--model", model, "--depth", "2", *members], {},
+                   {"model": model, "depth": 2, "surfaces": members}, [model, *members]),
+        "export-path": (["--model", model, "--frames", "3"], {},
+                        {"model": model, "component": 1, "frames": 3, "t_max": 2.0},
                         [model]),
         "regress": (["--covariates", cov, "--scores", f"shape={scores}",
-                     "--criterion", "bic"],
-                    {"scores": {"shape": scores}, "criterion": "bic", "n_ps": 3,
-                     "n_interact_ps": 3, "strict": True, "covariates": cov},
+                     "--criterion", "bic"], {},
+                    {"covariates": cov, "scores": [f"shape={scores}"], "criterion": "bic",
+                     "n_ps": 3, "n_interact_ps": 3, "lenient": False},
                     [cov, scores]),
     }
     out = {}
-    for name, (argv, config, inputs) in table.items():
-        out[name] = (root / name, config, inputs)
+    for name, (argv, config, arguments, inputs) in table.items():
+        out[name] = (root / name, config, arguments, inputs)
         assert main([name.removesuffix("-again"), *argv, "--out", str(root / name)]) == 0
     # pca ran with its defaults when the workspace was built.
-    out["pca"] = (workspace / "pca-out",
-                  {"use_squared": False, "mean": f"{ws}/base.surf"},
-                  [f"{ws}/base.surf", *(f"{ws}/member_{i}.surf" for i in range(4))])
+    pca_members = [f"{ws}/member_{i}.surf" for i in range(4)]
+    out["pca"] = (workspace / "pca-out", {"use_squared": False},
+                  {"mean": f"{ws}/base.surf", "surfaces": pca_members},
+                  [f"{ws}/base.surf", *pca_members])
     return out
 
 
 def test_manifest_records_the_command_config_and_exactly_the_files_written(runs):
     assert len({name.removesuffix("-again") for name in runs}) == 8
-    for name, (out, config, inputs) in runs.items():
+    for name, (out, config, arguments, inputs) in runs.items():
         manifest = json.loads((out / "manifest.json").read_text())
         written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert manifest["outputs"] == written, name
         assert manifest["command"] == name.removesuffix("-again")
         assert manifest["config"] == config, name
+        assert manifest["arguments"] == arguments, name
         assert manifest["inputs"] == inputs, name
+
+
+@pytest.mark.parametrize("name", ["simulate", "compare", "mean"])
+def test_a_manifest_config_fed_back_reproduces_the_run(runs, tmp_path, name):
+    out, _, arguments, inputs = runs[name]
+    manifest = json.loads((out / "manifest.json").read_text())
+    cfg = _write_config(tmp_path, manifest["config"])
+    again = tmp_path / "again"
+    assert main([name, *inputs, "--config", cfg, "--threads", str(arguments["threads"]),
+                 "--out", str(again)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for file in names:
+        assert (again / file).read_bytes() == (out / file).read_bytes(), file
 
 
 def test_seeded_simulate_runs_are_byte_identical(runs):

@@ -1,13 +1,19 @@
+import csv
+import io
 import json
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import elastishape
-from elastishape.errors import ConfigError, ParseError
+from elastishape import fileio
+from elastishape.errors import ConfigError, InputError, ParseError
 from elastishape.fileio import (
     MODEL_MAGIC,
     SURFACE_MAGIC,
@@ -18,6 +24,7 @@ from elastishape.fileio import (
     load_surface,
     numeric_columns,
     read_csv,
+    read_numeric_table,
     save_model,
     save_surface,
     write_csv,
@@ -267,5 +274,137 @@ def test_csv_and_json_parsing_live_only_in_fileio():
         if source.name == "fileio.py":
             continue
         text = source.read_text()
-        assert "import csv" not in text, source.name
-        assert "json.loads" not in text, source.name
+        for word in ("import csv", "json.loads", "loadtxt", "genfromtxt", "fromstring"):
+            assert word not in text, (source.name, word)
+
+
+def _score_columns(header):
+    """As `regress` reads a score table: an optional leading id column."""
+    first = 1 if header[0].strip().lower() == "id" else 0
+    if len(header) == first:
+        raise InputError("no score columns")
+    return (0 if first else None), range(first, len(header))
+
+
+def _python_path(path, columns):
+    """The reference: one `float` per cell, as `read_numeric_table` falls back to."""
+    table = read_csv(path)
+    id_index, value_index = columns(table.header)
+    values = np.column_stack(numeric_columns(table, value_index))
+    return (None if id_index is None else id_column(table, id_index)), values
+
+
+def _outcome(read, path):
+    try:
+        ids, values = read(path, _score_columns)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return ids, values.shape, values.dtype, values.tobytes()
+
+
+def _number_text(x, form):
+    if form == "fixed":  # 5., .25, -.25
+        text = f"{x:.4f}".rstrip("0")
+        short = text.lstrip("-").startswith("0.") and not text.endswith(".")
+        return text.replace("0.", ".", 1) if short else text
+    return {"17g": f"{x:.17g}", "repr": repr(x), "exp": f"{x:.6E}"}[form]
+
+
+@st.composite
+def tables(draw):
+    """A well-formed table as (file bytes, its rows): an id column, then
+    numbers in the forms `write_csv` and spreadsheets write."""
+    n_rows, n_values = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text(" ab1,\"'é", max_size=4), min_size=n_rows,
+                        max_size=n_rows, unique=True))
+    number = st.builds(_number_text, st.floats(-1e6, 1e6, allow_subnormal=True),
+                       st.sampled_from(["17g", "repr", "exp", "fixed"]))
+    rows = [[sid, *draw(st.lists(number, min_size=n_values, max_size=n_values))]
+            for sid in ids]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    fh = io.StringIO()
+    fh.write(",".join(["id", *(f"z{k}" for k in range(1, n_values + 1))]) + ending)
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(fh, lineterminator=ending, quoting=quoting).writerows(rows)
+    text = fh.getvalue()
+    if draw(st.booleans()):
+        text = text[: -len(ending)]  # no line end after the last row
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode(), rows
+
+
+@given(table=tables())
+def test_numpy_reads_a_well_formed_table_as_the_python_path_does(tmp_path_factory, table):
+    raw, rows = table
+    path = tmp_path_factory.getbasetemp() / "well_formed.csv"
+    path.write_bytes(raw)
+    expected = _outcome(_python_path, path)
+    assert expected[0] == [row[0] for row in rows]
+    with mock.patch.object(fileio, "read_csv", side_effect=AssertionError("fell back")):
+        assert _outcome(read_numeric_table, path) == expected
+
+
+def _irregular(rows, how):
+    """The text of a table of `rows` under one header, made irregular as
+    `how` says."""
+    header = ["id", *(f"z{k}" for k in range(1, len(rows[0])))]
+    rows = [list(row) for row in rows]
+    if how == "short row":
+        rows[0].pop()
+    elif how == "long row":
+        rows[0].append("1")
+    elif how == "repeated id":
+        rows.append(rows[0])
+    elif how == "missing id column":
+        header[0] = "x"
+    elif how == "id column only":
+        header, rows = ["id"], [row[:1] for row in rows]
+    elif how == "quoted line break":
+        rows[0][0] += "\nb"
+    elif how not in ("blank line", "bare CR"):
+        rows[0][-1] = how
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    head, body = fh.getvalue().split("\n", 1)
+    if how == "blank line":
+        body = "\n" + body
+    elif how == "bare CR":
+        body = body.replace("\n", "\r", 1)
+    return f"{head}\n{body}"
+
+
+@pytest.mark.parametrize("how", [
+    "blank line", "short row", "long row", "repeated id", "missing id column",
+    "id column only", "quoted line break", "bare CR",
+    "nan", "inf", "-inf", "1e400", "1_0", "abc", "", " ", "\x1c1", "1\x00", "\u0661",
+])
+@given(table=tables())
+def test_an_irregular_table_gives_the_python_paths_values_or_error(tmp_path_factory,
+                                                                    how, table):
+    _, rows = table
+    path = tmp_path_factory.getbasetemp() / "irregular.csv"
+    path.write_text(_irregular(rows, how), encoding="utf-8", newline="")
+    assert _outcome(read_numeric_table, path) == _outcome(_python_path, path)
+
+
+@given(head=st.sampled_from(["", "id,z1\n", "id,z1,z2\r\n", "\ufeffz1\n"]),
+       text=st.text('id,"\r\n 1.5e-_x\x1c\x00', max_size=40))
+def test_any_text_gives_the_python_paths_values_or_error(tmp_path_factory, head, text):
+    path = tmp_path_factory.getbasetemp() / "any.csv"
+    path.write_text(head + text, encoding="utf-8", newline="")
+    assert _outcome(read_numeric_table, path) == _outcome(_python_path, path)
+
+
+def test_read_numeric_table_falls_back_for_float_only_forms(tmp_path):
+    # numpy refuses these; `float` takes them, so the values come back
+    path = tmp_path / "t.csv"
+    path.write_text("id,x\ns0,1_0\ns1,\u0661.5\n", encoding="utf-8")
+    ids, values = read_numeric_table(path, _score_columns)
+    assert ids == ["s0", "s1"] and values.tolist() == [[10.0], [1.5]]
+
+
+def test_a_file_of_blank_lines_is_an_empty_csv(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\n\r\n")
+    with pytest.raises(ParseError, match="empty CSV"):
+        read_numeric_table(path, _score_columns)
