@@ -427,6 +427,54 @@ def test_regress_command(regress_inputs, tmp_path, capsys):
     assert manifest["arguments"]["criterion"] == "bic"
 
 
+@pytest.fixture(scope="module")
+def regress_two_structures(tmp_path_factory):
+    """A cohort whose pss follows age, ps(shape,1) and bdi*ps(shape,2), with a
+    second score table of noise."""
+    root = tmp_path_factory.mktemp("regress2")
+    n = 80
+    cohort = gen_regression_cohort(CohortSpec(
+        n_subjects=n, n_u=8, n_v=8, n_directions=4,
+        true_terms=("age", "ps(shape,1)", "bdi*ps(shape,2)"),
+        true_coefficients=(0.1, 5.0, 0.4), noise_sigma=0.5, seed=9))
+    cohort.covariates.to_csv(root / "cov.csv")
+    tables = {"shape": cohort.truth.scores["shape"],
+              "noise": np.random.default_rng(9).standard_normal((n, 4))}
+    for struct, z in tables.items():
+        with (root / f"{struct}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id"] + [f"z{k}" for k in range(1, z.shape[1] + 1)])
+            for sid, row in zip(cohort.covariates.ids, z):
+                writer.writerow([sid, *row])
+    return ["--covariates", str(root / "cov.csv"), "--scores", f"shape={root / 'shape.csv'}",
+            "--scores", f"noise={root / 'noise.csv'}"]
+
+
+@pytest.mark.parametrize("flags, digests", [
+    (["--criterion", "aic"], (
+        "c3f4e2c0110c6f70a0b59c483191e463ac7ab4e8b01ac89e88a7480fd8b5e53c",
+        "31db99c21aa2e5c40549c798a00dec714f5266d811cb8553e28b20d9bd8ee233",
+        "7bd8362c683cb1cd43d4573a22d5a099b6a70009eae806e2196e422187b6ce22")),
+    (["--criterion", "bic"], (
+        "cbe82b0add92a0e5f9f2abc55363ff72bb21a6f0dafb1bdd47c96b36098d77b4",
+        "ac25e33e918aaf17ccd96f7408dd40bd7a9c1848990a7d9a3a8abef2bfc34a68",
+        "2a7e26f1076db3ba9e646826f3348b38bd6ac7136653531d723ad5d1424eb1a7")),
+    (["--criterion", "aic", "--n-ps", "3", "--n-interact-ps", "1"], (
+        "3c3a9a0e73b103bff2f4e5fb2545c04e9097ac392e674d2fcb26c25793b193e8",
+        "bcdae6fd318125c49439fb026c76d77c06ee79747a1c5180b50a9998abe12583",
+        "b2b13a20b674c7f85fae28cc45011f88e006d9fe79c0b0bedcf59ed3ea4efd8e")),
+])
+def test_regress_outputs_are_pinned(regress_two_structures, tmp_path, capsys, flags,
+                                    digests):
+    # models.csv, selected_terms.csv and stdout, pinned byte for byte at this seed.
+    out = tmp_path / "reg-out"
+    assert main(["regress", *regress_two_structures, *flags, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    got = tuple(hashlib.sha256(data).hexdigest() for data in (
+        (out / "models.csv").read_bytes(), (out / "selected_terms.csv").read_bytes(), stdout))
+    assert got == digests
+
+
 def _regress_tables(cov, scores, out, *flags):
     """Runs regress; returns its exit code and the two tables it wrote."""
     code = main(["regress", "--covariates", str(cov), "--scores", f"shape={scores}",
