@@ -420,7 +420,8 @@ def _read_scores_csv(path, cov: CovariateTable) -> np.ndarray:
 
 def cmd_regress(args, cfg):
     """Stepwise model suite over covariates and per-structure scores."""
-    from .regression import CovariateTable, run_model_suite
+    from .regression import (SUITE_N_INTERACT_PS, SUITE_N_PS, CovariateTable,
+                             run_model_suite)
 
     scores_map = {}
     for entry in args.scores or []:
@@ -442,31 +443,32 @@ def cmd_regress(args, cfg):
     cov = CovariateTable.from_csv(args.covariates, strict=strict)
     scores = {s: _read_scores_csv(p, cov) for s, p in sorted(scores_map.items())}
     available = min(m.shape[1] for m in scores.values())
-    n_ps = min(15, available) if args.n_ps is None else args.n_ps
+    n_ps = min(SUITE_N_PS, available) if args.n_ps is None else args.n_ps
     if n_ps < 1:
         raise ConfigError(f"n_ps must be at least 1, got {n_ps}")
     if n_ps > available:
         raise InputError(
             f"n_ps {n_ps} exceeds available score columns ({available})"
         )
-    n_interact = min(5, n_ps) if args.n_interact_ps is None else args.n_interact_ps
+    n_interact = (min(SUITE_N_INTERACT_PS, n_ps) if args.n_interact_ps is None
+                  else args.n_interact_ps)
     if not 0 <= n_interact <= n_ps:
         raise ConfigError(f"n_interact_ps must lie in 0..n_ps, got {n_interact}")
     args.n_ps, args.n_interact_ps = n_ps, n_interact
 
-    report = run_model_suite(
+    suite = run_model_suite(
         cov, scores, n_ps=n_ps, n_interact_ps=n_interact, criterion=args.criterion
     )
-    model_rows, term_rows = [], []
-    for row in report:
-        model_rows.append(
-            [row["model_id"], row["response"], row["adj_r_squared"], row["n_terms"]]
-        )
-        for sel in row["selected"]:
-            term_rows.append(
-                [row["model_id"], sel["term"], sel["coefficient"], sel["sign"],
-                 sel["p_value"]]
-            )
+    model_rows, term_rows, summary = [], [], []
+    for model_id, (spec, result) in suite.items():
+        fit = result.fit
+        model_rows.append([model_id, spec.response, fit.adj_r_squared, len(fit.terms)])
+        term_rows += [[model_id, term, coef, "+" if coef >= 0 else "-", p_value]
+                      for term, coef, p_value in zip(fit.terms, fit.coefficients,
+                                                     fit.p_values)
+                      if term != "intercept"]
+        summary.append(f"model {model_id} ({spec.response}): "
+                       f"adj R2 {fit.adj_r_squared:.4f}, {len(fit.terms)} terms")
     artifacts = {
         "models.csv": _rows(
             ["model_id", "response", "adj_r_squared", "n_terms"], model_rows
@@ -475,11 +477,6 @@ def cmd_regress(args, cfg):
             ["model_id", "term", "coefficient", "sign", "p_value"], term_rows
         ),
     }
-    summary = [
-        f"model {row['model_id']} ({row['response']}): "
-        f"adj R2 {row['adj_r_squared']:.4f}, {row['n_terms']} terms"
-        for row in report
-    ]
     return [args.covariates, *scores_map.values()], artifacts, summary
 
 

@@ -10,6 +10,8 @@ add and drop move from that factorization by the textbook
 residual-sum-of-squares updates; a move that would make the design rank
 deficient or underdetermined is skipped and counted.  Full inference
 (`ols_fit`) runs only for the baseline and for the selected model.
+`run_model_suite` returns each model's spec and `StepwiseResult`, so a
+caller reads the selected terms and coefficients from the fit itself.
 
 The linear algebra and the t distribution are numpy and the standard
 library only:
@@ -31,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,11 @@ logger = logging.getLogger(__name__)
 RESPONSES = ("pss", "ctqtot")
 COVARIATE_COLUMNS = ("id", "age", "bdi", "icv", "pss", "ctqtot", "label")
 _RANGES = {"bdi": (0.0, 63.0), "pss": (0.0, 42.0), "ctqtot": (25.0, 125.0)}
+
+# The suite's default depths: the scores each structure enters with, and
+# the first of them that also enter times age and times bdi.
+SUITE_N_PS = 15
+SUITE_N_INTERACT_PS = 5
 
 _PS_RE = re.compile(r"^(?:(age|bdi)\*)?ps\(([^,()]+),(\d+)\)$")
 
@@ -152,12 +159,11 @@ def term_parts(term: str):
 
 @dataclass
 class ModelSpec:
-    """One regression model: a response plus an ordered term list."""
+    """One regression model: a response plus an ordered term list.  Score
+    indices start at 1; `design_matrix` checks them against the table."""
 
     response: str
     terms: list
-    n_ps: int = 15
-    n_interact_ps: int = 5
 
     def __post_init__(self):
         if self.response not in RESPONSES:
@@ -167,15 +173,8 @@ class ModelSpec:
             if term in seen:
                 raise ValueError(f"duplicate term '{term}'")
             seen.add(term)
-            inter, _, k = term_parts(term)
-            if k is not None:
-                if not 1 <= k <= self.n_ps:
-                    raise ValueError(f"term '{term}': ps index outside 1..{self.n_ps}")
-                if inter is not None and k > self.n_interact_ps:
-                    raise ValueError(
-                        f"term '{term}': interactions limited to the first "
-                        f"{self.n_interact_ps} scores"
-                    )
+            if term_parts(term)[2] == 0:
+                raise ValueError(f"term '{term}': ps index must be at least 1")
 
     def forced_terms(self) -> list:
         """Baseline terms never dropped by selection (non-shape terms)."""
@@ -187,7 +186,8 @@ def design_matrix(
 ) -> tuple[np.ndarray, list]:
     """Design matrix with columns ordered per the spec's term list.
 
-    scores maps structure name to an (n_subjects, >= n_ps) score array.
+    scores maps structure name to an (n_subjects, n_components) score
+    array with a column for every score index the spec names.
     Interaction columns are elementwise products of the raw covariate and
     raw score columns.
     """
@@ -447,10 +447,9 @@ class StepwiseResult:
     would have been rank deficient or underdetermined."""
 
     fit: RegressionFit
-    trace: list = field(default_factory=list)
-    criterion: str = "aic"
-    skipped_rank: int = 0
-    skipped_underdetermined: int = 0
+    trace: list
+    skipped_rank: int
+    skipped_underdetermined: int
 
 
 # Add candidates are projected this many columns at a time, so the scratch
@@ -578,73 +577,57 @@ def stepwise_bidirectional(
     return StepwiseResult(
         fit=fit,
         trace=trace,
-        criterion=criterion,
         skipped_rank=skipped_rank,
         skipped_underdetermined=skipped_under,
     )
 
 
-def _ps_block(structures, n_ps):
-    return [f"ps({s},{k})" for s in structures for k in range(1, n_ps + 1)]
-
-
-def _interact_block(structures, n_interact):
-    out = []
-    for covname in ("age", "bdi"):
-        out += [
-            f"{covname}*ps({s},{k})"
-            for s in structures
-            for k in range(1, n_interact + 1)
-        ]
-    return out
-
-
 def suite_specs(
-    structures: list, n_ps: int = 15, n_interact_ps: int = 5
+    structures: list, n_ps: int = SUITE_N_PS, n_interact_ps: int = SUITE_N_INTERACT_PS
 ) -> dict:
     """The ten standard model specifications, keyed by model id.
 
     Models 1-4 predict the stress score and 5-8 the trauma score from,
     respectively: covariates + scores + interactions, covariates +
     scores, covariates only, and scores only.  Models 9-10 repeat the
-    full design with intracranial volume added.
+    full design with intracranial volume added.  Each structure enters
+    with its first n_ps scores, and with its first n_interact_ps scores
+    times age and times bdi.
     """
     base = ["intercept", "age", "bdi"]
-    ps = _ps_block(structures, n_ps)
-    inter = _interact_block(structures, n_interact_ps)
-
-    def spec(response, terms):
-        return ModelSpec(
-            response=response, terms=terms, n_ps=n_ps, n_interact_ps=n_interact_ps
-        )
-
+    ps = [f"ps({s},{k})" for s in structures for k in range(1, n_ps + 1)]
+    inter = [f"{c}*ps({s},{k})" for c in ("age", "bdi") for s in structures
+             for k in range(1, n_interact_ps + 1)]
     return {
-        1: spec("pss", base + ps + inter),
-        2: spec("pss", base + ps),
-        3: spec("pss", list(base)),
-        4: spec("pss", ["intercept"] + ps),
-        5: spec("ctqtot", base + ps + inter),
-        6: spec("ctqtot", base + ps),
-        7: spec("ctqtot", list(base)),
-        8: spec("ctqtot", ["intercept"] + ps),
-        9: spec("pss", base + ["icv"] + ps + inter),
-        10: spec("ctqtot", base + ["icv"] + ps + inter),
+        1: ModelSpec("pss", base + ps + inter),
+        2: ModelSpec("pss", base + ps),
+        3: ModelSpec("pss", list(base)),
+        4: ModelSpec("pss", ["intercept"] + ps),
+        5: ModelSpec("ctqtot", base + ps + inter),
+        6: ModelSpec("ctqtot", base + ps),
+        7: ModelSpec("ctqtot", list(base)),
+        8: ModelSpec("ctqtot", ["intercept"] + ps),
+        9: ModelSpec("pss", base + ["icv"] + ps + inter),
+        10: ModelSpec("ctqtot", base + ["icv"] + ps + inter),
     }
 
 
 def run_model_suite(
     cov: CovariateTable,
     scores: dict,
-    n_ps: int = 15,
-    n_interact_ps: int = 5,
+    n_ps: int = SUITE_N_PS,
+    n_interact_ps: int = SUITE_N_INTERACT_PS,
     criterion: str = "aic",
-) -> list:
-    """Run all ten models through stepwise selection; one report row each."""
-    structures = sorted(scores)
-    specs = suite_specs(structures, n_ps=n_ps, n_interact_ps=n_interact_ps)
-    report = []
-    for model_id in sorted(specs):
-        result = stepwise_bidirectional(specs[model_id], cov, scores, criterion)
+) -> dict:
+    """Run all ten models through stepwise selection.
+
+    Returns {model_id: (spec, StepwiseResult)} in model order: the full
+    spec searched and the selected model's fit, with its trace and skip
+    counts.  Each model's moves and skips are logged at INFO.
+    """
+    suite = {}
+    for model_id, spec in suite_specs(sorted(scores), n_ps, n_interact_ps).items():
+        result = stepwise_bidirectional(spec, cov, scores, criterion)
         logger.info(
             "model %d: %d stepwise moves; skipped %d rank-deficient and %d "
             "underdetermined candidate(s)",
@@ -653,26 +636,5 @@ def run_model_suite(
             result.skipped_rank,
             result.skipped_underdetermined,
         )
-        fit = result.fit
-        selected = []
-        for j, term in enumerate(fit.terms):
-            if term == "intercept":
-                continue
-            selected.append(
-                {
-                    "term": term,
-                    "coefficient": float(fit.coefficients[j]),
-                    "sign": "+" if fit.coefficients[j] >= 0 else "-",
-                    "p_value": float(fit.p_values[j]),
-                }
-            )
-        report.append(
-            {
-                "model_id": model_id,
-                "response": specs[model_id].response,
-                "adj_r_squared": float(fit.adj_r_squared),
-                "n_terms": len(fit.terms),
-                "selected": selected,
-            }
-        )
-    return report
+        suite[model_id] = (spec, result)
+    return suite

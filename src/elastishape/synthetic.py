@@ -259,15 +259,10 @@ def gen_regression_cohort(spec: CohortSpec) -> RegressionCohort:
         label=(z[:, 0] > 0).astype(float),
     )
     try:
-        tspec = ModelSpec(
-            response=spec.response,
-            terms=["intercept"] + list(spec.true_terms),
-            n_ps=k,
-            n_interact_ps=k,
-        )
+        tspec = ModelSpec(spec.response, ["intercept"] + list(spec.true_terms))
+        x, names = design_matrix(tspec, table, scores)
     except ValueError as exc:
         raise ConfigError(f"true_terms invalid: {exc}") from exc
-    x, names = design_matrix(tspec, table, scores)
     beta = np.concatenate([[spec.intercept], np.asarray(spec.true_coefficients)])
     y = np.clip(x @ beta + spec.noise_sigma * eps, *_RANGES[spec.response])
     setattr(table, spec.response, y)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elastishape.cli import main
+from elastishape.cli import _read_scores_csv, main
 from elastishape.fileio import MODEL_MAGIC, load_model, load_surface, read_csv, save_surface
 from elastishape.grids import make_grid
 from elastishape.registration import RegistrationOpts, rotate_surface
+from elastishape.regression import CovariateTable, run_model_suite
 from elastishape.synthetic import CohortSpec, gen_regression_cohort, gen_surface
 
 from conftest import rotation_matrix
@@ -446,8 +447,9 @@ def regress_two_structures(tmp_path_factory):
             writer.writerow(["id"] + [f"z{k}" for k in range(1, z.shape[1] + 1)])
             for sid, row in zip(cohort.covariates.ids, z):
                 writer.writerow([sid, *row])
-    return ["--covariates", str(root / "cov.csv"), "--scores", f"shape={root / 'shape.csv'}",
-            "--scores", f"noise={root / 'noise.csv'}"]
+    return root, ["--covariates", str(root / "cov.csv"),
+                  "--scores", f"shape={root / 'shape.csv'}",
+                  "--scores", f"noise={root / 'noise.csv'}"]
 
 
 @pytest.mark.parametrize("flags, digests", [
@@ -468,11 +470,43 @@ def test_regress_outputs_are_pinned(regress_two_structures, tmp_path, capsys, fl
                                     digests):
     # models.csv, selected_terms.csv and stdout, pinned byte for byte at this seed.
     out = tmp_path / "reg-out"
-    assert main(["regress", *regress_two_structures, *flags, "--out", str(out)]) == 0
+    assert main(["regress", *regress_two_structures[1], *flags, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out.encode()
     got = tuple(hashlib.sha256(data).hexdigest() for data in (
         (out / "models.csv").read_bytes(), (out / "selected_terms.csv").read_bytes(), stdout))
     assert got == digests
+
+
+@pytest.mark.parametrize("criterion", ["aic", "bic"])
+def test_regress_rows_are_the_suite_fits(regress_two_structures, tmp_path, criterion):
+    # Every row reads back as the matching fit of run_model_suite on the same
+    # tables: each term but the intercept, its sign from its coefficient, and
+    # each number exactly through its .17g cell.
+    root, argv = regress_two_structures
+    out = tmp_path / "reg-out"
+    assert main(["regress", *argv, "--criterion", criterion, "--out", str(out)]) == 0
+    cov = CovariateTable.from_csv(root / "cov.csv")
+    scores = {s: _read_scores_csv(root / f"{s}.csv", cov) for s in ("shape", "noise")}
+    suite = run_model_suite(cov, scores, n_ps=4, n_interact_ps=4, criterion=criterion)
+    _, models = _read_csv(out / "models.csv")
+    assert [(int(m), r, float(adj), int(k)) for m, r, adj, k in models] == [
+        (model_id, spec.response, result.fit.adj_r_squared, len(result.fit.terms))
+        for model_id, (spec, result) in suite.items()]
+    _, terms = _read_csv(out / "selected_terms.csv")
+    signs = set()
+    for model_id, (_, result) in suite.items():
+        fit = result.fit
+        rows = [row[1:] for row in terms if int(row[0]) == model_id]
+        kept = [j for j, term in enumerate(fit.terms) if term != "intercept"]
+        assert "intercept" in fit.terms and len(kept) == len(fit.terms) - 1
+        assert [term for term, *_ in rows] == [fit.terms[j] for j in kept]
+        for (_, coef, sign, p_value), j in zip(rows, kept):
+            assert float(coef) == fit.coefficients[j]
+            assert float(p_value) == fit.p_values[j]
+            assert sign == ("-" if fit.coefficients[j] < 0 else "+")
+            signs.add(sign)
+    assert len(terms) == sum(len(result.fit.terms) - 1 for _, result in suite.values())
+    assert signs == {"+", "-"}
 
 
 def _regress_tables(cov, scores, out, *flags):

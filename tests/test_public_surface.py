@@ -8,9 +8,10 @@ from somewhere in the package other than its own definition, or from a
 table) and imports do not count, and neither do the tests.  Names match by
 spelling, so a local variable of the same name counts as a reference.
 
-A field with a default is set when the same code passes it by keyword to a
+A field with a default is set when some code passes it by keyword to a
 call of its class or of `dataclasses.replace`, or names it as a string key
-of a dict literal (a dict that is later unpacked into such a call).
+of a dict literal in a module that unpacks some dict with `**` into a call
+of its class or of `replace`.
 """
 
 import ast
@@ -68,20 +69,22 @@ def test_every_defaulted_dataclass_field_is_set_by_a_caller():
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
         and _is_dataclass(node)
     }
-    by_class, anywhere = {}, set()
+    # Fields set per callee; "replace" sets a field of any class.
+    set_by = {}
     for tree in TREES.values():
+        keys, unpacked_into = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                words = {k.arg for k in node.keywords if k.arg}
                 name = _callee(node)
-                if name == "replace":
-                    anywhere |= words
-                else:
-                    by_class.setdefault(name, set()).update(words)
+                set_by.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+                if any(k.arg is None for k in node.keywords):
+                    unpacked_into.add(name)
             elif isinstance(node, ast.Dict):
-                anywhere |= {k.value for k in node.keys
-                             if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+                keys |= {k.value for k in node.keys
+                         if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+        for name in unpacked_into:
+            set_by[name] |= keys
     unset = [f"{cls}.{name}" for cls, names in defaulted.items() for name in names
-             if name not in by_class.get(cls, set()) | anywhere]
+             if name not in set_by.get(cls, set()) | set_by.get("replace", set())]
     assert not unset, (
         f"no caller sets {unset}: make them module constants, or delete them")

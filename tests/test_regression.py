@@ -1,4 +1,5 @@
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from elastishape.regression import (
     _qr_pivoted,
     design_matrix,
     ols_fit,
-    run_model_suite,
     stepwise_bidirectional,
     suite_specs,
     t_tail_p,
@@ -53,14 +53,17 @@ def test_model_spec_validation():
         ModelSpec(response="bdi", terms=["intercept"])
     with pytest.raises(ValueError, match="duplicate"):
         ModelSpec(response="pss", terms=["age", "age"])
-    with pytest.raises(ValueError, match="ps index"):
-        ModelSpec(response="pss", terms=["ps(h,16)"], n_ps=15)
-    with pytest.raises(ValueError, match="interactions"):
-        ModelSpec(response="pss", terms=["age*ps(h,6)"], n_ps=15, n_interact_ps=5)
     spec = ModelSpec(
         response="pss", terms=["intercept", "age", "ps(h,1)", "age*ps(h,1)"]
     )
     assert spec.forced_terms() == ["intercept", "age"]
+
+
+@pytest.mark.parametrize("term", ["ps(h,0)", "age*ps(h,0)"])
+def test_model_spec_rejects_a_zero_score_index_by_name(term):
+    # ps(h,0) would otherwise read the last score column
+    with pytest.raises(ValueError, match=rf"'{re.escape(term)}': ps index must be at least 1"):
+        ModelSpec(response="pss", terms=["intercept", term])
 
 
 def test_covariate_csv_round_trip(tmp_path):
@@ -103,8 +106,6 @@ def test_design_matrix_columns():
     spec = ModelSpec(
         response="pss",
         terms=["intercept", "age", "ps(h,2)", "age*ps(h,1)"],
-        n_ps=4,
-        n_interact_ps=2,
     )
     x, names = design_matrix(spec, table, scores)
     assert names == spec.terms
@@ -116,7 +117,7 @@ def test_design_matrix_columns():
 
 def test_design_matrix_score_errors():
     table = _table(n=10)
-    spec = ModelSpec(response="pss", terms=["intercept", "ps(h,3)"], n_ps=3)
+    spec = ModelSpec(response="pss", terms=["intercept", "ps(h,3)"])
     with pytest.raises(ValueError, match="no scores"):
         design_matrix(spec, table, {})
     with pytest.raises(ValueError, match="only"):
@@ -125,6 +126,15 @@ def test_design_matrix_score_errors():
     # build is an error, not a candidate quietly skipped
     with pytest.raises(ValueError, match=r"ps\(h,3\)"):
         stepwise_bidirectional(spec, table, {"h": np.zeros((10, 2))})
+
+
+@pytest.mark.parametrize("term", ["ps(h,16)", "bdi*ps(h,16)"])
+def test_design_matrix_rejects_a_score_index_past_the_table(term):
+    table = _table(n=10)
+    spec = ModelSpec(response="pss", terms=["intercept", term])
+    with pytest.raises(ValueError, match=rf"term '{re.escape(term)}': structure 'h' "
+                                         "provides only 15 score components"):
+        design_matrix(spec, table, {"h": np.zeros((10, 15))})
 
 
 def test_t_tail_p_matches_reference():
@@ -225,17 +235,13 @@ def test_stepwise_recovers_a_planted_predictor():
         terms=["intercept", "age", "bdi"]
         + [f"ps(h,{k})" for k in range(1, 5)]
         + [f"age*ps(h,{k})" for k in range(1, 3)],
-        n_ps=4,
-        n_interact_ps=2,
     )
     result = stepwise_bidirectional(spec, table, scores, criterion="bic")
     assert "ps(h,1)" in result.fit.terms
     assert "intercept" in result.fit.terms
     # the fit on a slice of the full design matches a fresh design of the
     # selected terms (a slice may round differently in the last bit)
-    chosen = ModelSpec(
-        response="pss", terms=result.fit.terms, n_ps=4, n_interact_ps=2
-    )
+    chosen = ModelSpec(response="pss", terms=result.fit.terms)
     x, names = design_matrix(chosen, table, scores)
     direct = ols_fit(x, table.pss, names)
     for attr in ("coefficients", "std_errors", "p_values", "adj_r_squared"):
@@ -243,7 +249,6 @@ def test_stepwise_recovers_a_planted_predictor():
     # criterion trace improves monotonically after the start
     values = [v for _, _, v in result.trace]
     assert all(a > b for a, b in zip(values, values[1:]))
-    assert result.criterion == "bic"
 
 
 def test_stepwise_keeps_forced_terms():
@@ -254,8 +259,6 @@ def test_stepwise_keeps_forced_terms():
     spec = ModelSpec(
         response="ctqtot",
         terms=["intercept", "age", "bdi"] + [f"ps(h,{k})" for k in range(1, 4)],
-        n_ps=3,
-        n_interact_ps=1,
     )
     result = stepwise_bidirectional(spec, table, scores, criterion="bic")
     for term in ("intercept", "age", "bdi"):
@@ -278,24 +281,6 @@ def test_suite_specs_structure():
     assert "ps(t,3)" in specs[1].terms
     assert "bdi*ps(t,2)" in specs[1].terms
     assert "age*ps(h,3)" not in specs[1].terms
-
-
-def test_run_model_suite_report_rows():
-    n = 50
-    table = _table(n=n, seed=11)
-    rng = np.random.default_rng(11)
-    scores = {"h": 0.2 * rng.standard_normal((n, 3))}
-    report = run_model_suite(table, scores, n_ps=3, n_interact_ps=1, criterion="bic")
-    assert [row["model_id"] for row in report] == list(range(1, 11))
-    for row in report:
-        assert row["response"] in ("pss", "ctqtot")
-        assert isinstance(row["adj_r_squared"], float)
-        assert row["n_terms"] >= 1
-        for sel in row["selected"]:
-            assert sel["term"] != "intercept"
-            assert sel["sign"] in "+-"
-            assert 0.0 <= sel["p_value"] <= 1.0
-            assert np.sign(sel["coefficient"]) >= 0 or sel["sign"] == "-"
 
 
 def _reference_criterion_value(name: str, x, y, terms):
@@ -421,8 +406,6 @@ def test_stepwise_skips_a_duplicated_score_column_like_ols_fit(criterion, caplog
         terms=["intercept", "age", "bdi"]
         + [f"ps(h,{k})" for k in range(1, 5)]
         + [f"age*ps(h,{k})" for k in range(1, 3)],
-        n_ps=4,
-        n_interact_ps=2,
     )
     result, skipped = _assert_matches_reference(
         spec, table, scores, criterion, caplog
@@ -439,7 +422,6 @@ def test_stepwise_skips_underdetermined_adds_like_ols_fit(criterion, caplog):
     spec = ModelSpec(
         response="pss",
         terms=["intercept", "age", "bdi"] + [f"ps(t,{k})" for k in range(1, 9)],
-        n_ps=8,
     )
     result, skipped = _assert_matches_reference(
         spec, table, scores, criterion, caplog
@@ -449,8 +431,7 @@ def test_stepwise_skips_underdetermined_adds_like_ols_fit(criterion, caplog):
 
 def test_stepwise_from_an_empty_baseline(caplog):
     table, scores = _planted_cohort(60, 3)
-    spec = ModelSpec(response="ctqtot", terms=[f"ps(t,{k})" for k in range(1, 7)],
-                     n_ps=6)
+    spec = ModelSpec(response="ctqtot", terms=[f"ps(t,{k})" for k in range(1, 7)])
     assert spec.forced_terms() == []
     result, _ = _assert_matches_reference(spec, table, scores, "bic", caplog)
     assert len(result.trace) > 1
@@ -458,7 +439,7 @@ def test_stepwise_from_an_empty_baseline(caplog):
 
 def test_stepwise_rejects_non_finite_data():
     table, scores = _planted_cohort(40, 1)
-    spec = ModelSpec(response="pss", terms=["intercept", "age", "ps(h,1)"], n_ps=6)
+    spec = ModelSpec(response="pss", terms=["intercept", "age", "ps(h,1)"])
     scores["h"][3, 0] = np.nan
     with pytest.raises(ValueError, match=r"non-finite.*ps\(h,1\)"):
         stepwise_bidirectional(spec, table, scores)
@@ -634,7 +615,6 @@ def _scipy_stepwise_bidirectional(
     return StepwiseResult(
         fit=fit,
         trace=trace,
-        criterion=criterion,
         skipped_rank=skipped_rank,
         skipped_underdetermined=skipped_under,
     )

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,16 @@ def test_cohort_spec_validation():
         CohortSpec(n_subjects=0)
     with pytest.raises(ConfigError, match="lengths"):
         CohortSpec(true_terms=("age",), true_coefficients=(0.1, 0.2))
+
+
+@pytest.mark.parametrize("term", ["ps(shape,4)", "bdi*ps(shape,4)", "ps(shape,0)",
+                                  "ps(other,1)", "icv*ps(shape,1)"])
+def test_true_terms_the_cohort_cannot_build_are_rejected(term):
+    # three shape directions give three score columns, of structure 'shape' only
+    spec = CohortSpec(n_subjects=5, n_u=8, n_v=8, n_directions=3, true_terms=(term,),
+                      true_coefficients=(1.0,))
+    with pytest.raises(ConfigError, match=r"true_terms invalid: .*" + re.escape(term)):
+        gen_regression_cohort(spec)
 
 
 def test_regression_cohort_truth_is_consistent():
