@@ -44,15 +44,12 @@ class SphericalGrid:
         Node count in polar angle (rows).  phi_j = (j + 0.5) * pi / n_v.
     theta : ndarray, shape (n_u,)
     phi : ndarray, shape (n_v,)
-    weights : ndarray, shape (n_v, n_u)
-        Area quadrature weights sin(phi) * dtheta * dphi.
     """
 
     n_u: int
     n_v: int
     theta: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     @property
     def d_theta(self) -> float:
@@ -95,13 +92,9 @@ def make_grid(n_u: int, n_v: int) -> SphericalGrid:
         )
     theta = np.arange(n_u) * (2.0 * np.pi / n_u)
     phi = (np.arange(n_v) + 0.5) * (np.pi / n_v)
-    d_theta = 2.0 * np.pi / n_u
-    d_phi = np.pi / n_v
-    weights = np.sin(phi)[:, None] * np.full((1, n_u), d_theta * d_phi)
     theta.setflags(write=False)
     phi.setflags(write=False)
-    weights.setflags(write=False)
-    return SphericalGrid(n_u=n_u, n_v=n_v, theta=theta, phi=phi, weights=weights)
+    return SphericalGrid(n_u=n_u, n_v=n_v, theta=theta, phi=phi)
 
 
 @dataclass

@@ -22,11 +22,12 @@ runs map by map.  The one Jacobian serves both the orientation check
 and the action's sqrt(J sin phi_grid) factor.  Every product of a
 per-node factor with the 3-vector field multiplies by the factor
 repeated per component (`grids._per_component`), not by a broadcast
-along the short last axis.  A stack holds the +h and -h maps of as many
-fields as fit in STENCIL_STACK_BYTES per image array, and always at
-least one pair.  At 32x32 that is 4 maps, the fastest on one thread in
-3 of 4 sweeps of 2, 4, 6 and 8 maps; 6 maps was the fastest on two
-concurrent threads, so no stack size won both.  Stacking changes no
+along the short last axis.  A stack holds the +h and -h maps of
+STENCIL_FIELDS fields, 4 maps at every grid size.  Larger stacks do not
+pay: inside a `register` search, stacks of 12 to 60 maps took 95 to 3350
+minor page faults per `_action_values` call from 16x16 to 64x64, where
+4 maps took a median of none.  At 32x32, 4 maps was the fastest on one
+thread in 3 of 4 sweeps of 2, 4, 6 and 8 maps.  Stacking changes no
 arithmetic, so the gradient is bit for bit the per-field one.
 """
 
@@ -52,9 +53,8 @@ __all__ = [
     "reparam_gradient",
 ]
 
-# Byte budget of one (maps, n_v, n_u, 3) float array in a gradient's stacked
-# stencil: 4 maps at 32x32, 16 at 16x16, and the one +/- pair at 64x64.
-STENCIL_STACK_BYTES = 96 * 1024
+# Fields per stack of the gradient's stencil: their +h and -h maps, 4 maps.
+STENCIL_FIELDS = 2
 
 # Highest harmonic degree of the tangent basis: 30 fields.
 BASIS_DEGREE = 3
@@ -175,17 +175,16 @@ def reparam_objective(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> float:
 def _basis_gradient(grid, q1, padded2, image, fields, h, e_center):
     """Centered directional finite differences along every basis field.
 
-    The +h and -h maps of consecutive fields are evaluated as one stack
-    of at most STENCIL_STACK_BYTES per image array (at least one pair).
-    A field with one inadmissible side falls back to the one-sided
-    difference from e_center; with both sides inadmissible its entry is 0.
+    The +h and -h maps of STENCIL_FIELDS consecutive fields are evaluated
+    as one stack.  A field with one inadmissible side falls back to the
+    one-sided difference from e_center; with both sides inadmissible its
+    entry is 0.
     """
     n_fields = fields.shape[0]
-    per_stack = max(1, STENCIL_STACK_BYTES // (2 * image.nbytes))
     energy = np.empty((n_fields, 2))
     admissible = np.empty((n_fields, 2), dtype=bool)
-    for start in range(0, n_fields, per_stack):
-        block = fields[start:start + per_stack]
+    for start in range(0, n_fields, STENCIL_FIELDS):
+        block = fields[start:start + STENCIL_FIELDS]
         velocity = np.empty((len(block), 2) + image.shape)
         np.multiply(block, h, out=velocity[:, 0])
         np.negative(velocity[:, 0], out=velocity[:, 1])
@@ -227,11 +226,11 @@ def optimize_reparam(
 
     Each iteration evaluates directional finite differences of the
     objective along every tangent-basis field (two evaluations per field,
-    issued in stacks of at most STENCIL_STACK_BYTES per image array, see
-    the module docstring), then backtracks a step of the normalized
-    descent direction until the objective decreases and the stepped map
-    stays orientation preserving.  Accepted flows accumulate
-    multiplicatively on the current diffeomorphism.
+    issued in stacks of STENCIL_FIELDS fields, see the module docstring),
+    then backtracks a step of the normalized descent direction until the
+    objective decreases and the stepped map stays orientation preserving.
+    Accepted flows accumulate multiplicatively on the current
+    diffeomorphism.
 
     Returns the accumulated diffeomorphism and the non-increasing trace of
     accepted objective values.

@@ -5,11 +5,13 @@ age, depression score, intracranial volume, per-structure principal
 scores, and covariate-by-score interactions.  Selection is bidirectional
 stepwise search from a forced baseline, scored by information criterion.
 Each stepwise call builds its full design once.  Each step of the search
-factors the current model's columns once (`np.linalg.qr`) and scores every
-add and drop move from that factorization by the textbook
-residual-sum-of-squares updates; a move that would make the design rank
-deficient or underdetermined is skipped and counted.  Full inference
-(`ols_fit`) runs only for the baseline and for the selected model.
+factors the current model's columns once (`np.linalg.qr`), projects every
+add candidate against that factor in one array, and scores all add and
+drop moves as arrays by the textbook residual-sum-of-squares updates and
+one criterion function (`_criterion_value`); the move taken is the first
+minimum.  A move that would make the design rank deficient or
+underdetermined is skipped and counted.  Full inference (`ols_fit`) runs
+only for the baseline and for the selected model.
 `run_model_suite` returns each model's spec and `StepwiseResult`, so a
 caller reads the selected terms and coefficients from the fit itself.
 
@@ -34,6 +36,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -430,9 +433,10 @@ def ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> Regressi
     )
 
 
-def _criterion_value(name: str, rss: float, n: int, k: int) -> float:
-    """AIC or BIC of a k-column least-squares fit to n rows with residual sum rss."""
-    rss = max(rss, 1e-300)
+def _criterion_value(name: str, rss, n: int, k: int):
+    """AIC or BIC of k-column least-squares fits to n rows with residual sums
+    rss, a number or an array of candidates."""
+    rss = np.maximum(rss, 1e-300)
     if name == "aic":
         return n * np.log(rss / n) + 2 * k
     if name == "bic":
@@ -452,11 +456,6 @@ class StepwiseResult:
     skipped_underdetermined: int
 
 
-# Add candidates are projected this many columns at a time, so the scratch
-# arrays stay a few hundred kilobytes however many candidates there are.
-_ADD_BLOCK = 8
-
-
 def stepwise_bidirectional(
     spec_full: ModelSpec,
     cov: CovariateTable,
@@ -474,8 +473,8 @@ def stepwise_bidirectional(
     ValueError.
 
     Each step factors the current design X_S = Q R (k columns) once and
-    scores every move from that factorization, with e = y - Q Q^T y and
-    rss = e.e:
+    scores every move from that factorization, the adds as the columns of
+    one n x candidates array, with e = y - Q Q^T y and rss = e.e:
 
     - adding column c: z = c - Q Q^T c (projected a second time when
       it lost more than half its length), rss_add = rss - (z.e)^2 / z.z;
@@ -522,7 +521,6 @@ def stepwise_bidirectional(
         qty = q.T @ y
         e = y - q @ qty
         rss = float(e @ e)
-        best = None
 
         adds = [t for t in spec_full.terms if t not in selected]
         if n < k + 2:
@@ -530,45 +528,44 @@ def stepwise_bidirectional(
             for term in adds:
                 logger.debug("skipped add %s: %s", term, "underdetermined")
             adds = []
+        idx = columns(adds)
+        z = x_full[:, idx]
+        z -= q @ (q.T @ z)
+        zz = np.einsum("ij,ij->j", z, z)
+        again = zz < 0.25 * col_norms[idx] ** 2
+        if again.any():
+            z[:, again] -= q @ (q.T @ z[:, again])
+            zz[again] = np.einsum("ij,ij->j", z[:, again], z[:, again])
         norm_s = col_norms[sel].max() if k else 0.0
-        for start in range(0, len(adds), _ADD_BLOCK):
-            block = adds[start:start + _ADD_BLOCK]
-            idx = columns(block)
-            z = x_full[:, idx]
-            z -= q @ (q.T @ z)
-            zz = np.einsum("ij,ij->j", z, z)
-            again = zz < 0.25 * col_norms[idx] ** 2
-            if again.any():
-                z[:, again] -= q @ (q.T @ z[:, again])
-                zz[again] = np.einsum("ij,ij->j", z[:, again], z[:, again])
-            tol = max(n, k + 1) * eps * np.maximum(norm_s, col_norms[idx])
-            ze = e @ z
-            for term, zz_j, ze_j, tol_j in zip(block, zz, ze, tol):
-                if zz_j <= tol_j * tol_j:
-                    skipped_rank += 1
-                    logger.debug("skipped add %s: %s", term, "rank deficient")
-                    continue
-                rss_add = rss - ze_j * ze_j / zz_j
-                cand = _criterion_value(criterion, rss_add, n, k + 1)
-                if cand < value and (best is None or cand < best[0]):
-                    best = (cand, "add", term)
+        tol = max(n, k + 1) * eps * np.maximum(norm_s, col_norms[idx])
+        deficient = zz <= tol * tol
+        for term in compress(adds, deficient):
+            logger.debug("skipped add %s: %s", term, "rank deficient")
+        skipped_rank += int(deficient.sum())
+        ze = e @ z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            add_values = _criterion_value(criterion, rss - ze * ze / zz, n, k + 1)
+        add_values[deficient] = np.inf
 
         r_inv = np.linalg.solve(r, np.eye(k))
         b = r_inv @ qty
         rss_drop = rss + b * b / np.einsum("ij,ij->i", r_inv, r_inv)
-        for j, term in enumerate(selected):
-            if term in forced:
-                continue
-            cand = _criterion_value(criterion, float(rss_drop[j]), n, k - 1)
-            if cand < value and (best is None or cand < best[0]):
-                best = (cand, "drop", term)
+        drop_values = _criterion_value(criterion, rss_drop, n, k - 1)
+        drop_values[[t in forced for t in selected]] = np.inf
 
-        if best is None:
+        # The current value comes first, so a move must improve on it
+        # strictly, and the first minimum wins a tie: adds in spec order,
+        # then drops.
+        values = np.concatenate([[value], add_values, drop_values])
+        best = int(np.argmin(values)) - 1
+        if best < 0:
             break
-        value, action, term = best
-        if action == "add":
+        value = values[best + 1]
+        if best < len(adds):
+            action, term = "add", adds[best]
             selected = [t for t in spec_full.terms if t in selected or t == term]
         else:
+            action, term = "drop", selected[best - len(adds)]
             selected = [t for t in selected if t != term]
         trace.append((action, term, value))
 

@@ -7,20 +7,25 @@ cohort (`gen_regression_cohort`) gives surfaces, covariates and planted
 responses from a recipe, `CohortSpec`, that is built in code; no command
 reads one from a file.  Its random streams are split per subject with
 :class:`numpy.random.SeedSequence`, so growing a cohort never reshuffles
-the subjects already generated.
+the subjects already generated.  The regression names are imported
+where the regression cohort uses them, so `simulate` and `compare` do
+not load `regression`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .grids import Surface, SphericalGrid, make_grid
-from .regression import _RANGES, RESPONSES, CovariateTable, ModelSpec, design_matrix
 from .shape_stats import ShapeModel
 from .sphharm import harmonic_values
+
+if TYPE_CHECKING:
+    from .regression import CovariateTable
 
 FAMILIES = ("sphere", "bumpy-sphere")
 
@@ -70,6 +75,8 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
+        from .regression import RESPONSES
+
         if self.n_subjects < 1:
             raise ConfigError("n_subjects must be at least 1")
         if self.response not in RESPONSES:
@@ -215,6 +222,8 @@ def gen_regression_cohort(spec: CohortSpec) -> RegressionCohort:
     `regress` accepts every cohort.  The returned record carries the
     generating model so a fit can be scored against it.
     """
+    from .regression import _RANGES, CovariateTable, ModelSpec, design_matrix
+
     grid = make_grid(spec.n_u, spec.n_v)
     mean = Surface(grid=grid, points=grid.nodes())
     n = spec.n_subjects

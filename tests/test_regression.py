@@ -9,7 +9,6 @@ from scipy import stats
 
 from elastishape.errors import InputError, ParseError, RankDeficiencyError
 from elastishape.regression import (
-    _ADD_BLOCK,
     COVARIATE_COLUMNS,
     CovariateTable,
     ModelSpec,
@@ -514,6 +513,10 @@ def _scipy_ols_fit(x: np.ndarray, y: np.ndarray, terms: list | None = None) -> R
         n_obs=n,
         df_resid=df_resid,
     )
+
+
+# The reference projects its add candidates this many columns at a time.
+_ADD_BLOCK = 8
 
 
 def _scipy_stepwise_bidirectional(

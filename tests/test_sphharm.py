@@ -20,7 +20,7 @@ def _gram(grid, max_degree):
     """Quadrature Gram matrix of Y_00 and every harmonic of degree 1..max_degree."""
     values = harmonic_values(grid.nodes(), max_degree).reshape(-1, grid.n_v * grid.n_u)
     v = np.concatenate([np.full((1, values.shape[1]), 1.0 / np.sqrt(4 * np.pi)), values])
-    return (v * grid.weights.ravel()) @ v.T
+    return (v * np.repeat(grid.sin_phi * grid.cell_measure, grid.n_u)) @ v.T
 
 
 def test_harmonic_orders_count():

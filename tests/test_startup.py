@@ -3,8 +3,9 @@
 `import elastishape` loads no submodule; the first access to a public
 name loads them all.  `elastishape.cli` loads only `errors` and
 `fileio` (the CSV and JSON readers, which load no geometry), and each
-command imports what it runs: `--version` loads nothing more and
-`regress` adds `regression` alone.  No command imports scipy: the
+command imports what it runs: `--version` loads nothing more,
+`regress` adds `regression` alone, and `simulate` and `compare` do not
+load `regression`.  No command imports scipy: the
 package is numpy and the standard library only, down to the ICP
 baseline's nearest-neighbour search, and only the tests use scipy, as
 an oracle.  Each check runs in a fresh interpreter.
@@ -73,6 +74,7 @@ def test_import_version_simulate_and_compare_load_no_scipy(tmp_path):
         result = _run(args, tmp_path)
         assert result["code"] in (None, 0), name
         assert result["scipy"] == [], name
+        assert "elastishape.regression" not in result["elastishape"], name
 
 
 def test_import_and_version_load_no_registration_stack(tmp_path):
