@@ -940,6 +940,44 @@ def test_a_manifest_config_fed_back_reproduces_the_run(runs, tmp_path, name):
         assert (again / file).read_bytes() == (out / file).read_bytes(), file
 
 
+def _outputs_digest(folder):
+    """sha256 over the sorted (name, bytes) of every file a run wrote but its manifest."""
+    digest = hashlib.sha256()
+    for path in sorted(folder.iterdir()):
+        if path.name != "manifest.json":
+            data = path.read_bytes()
+            digest.update(f"{path.name}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
+
+
+# Every output of each command's run in `runs`, pinned byte for byte.
+_RUN_DIGESTS = {
+    "simulate":
+        "9c02829a1850a4706cff4110182c799552a46e49ed326256f7a4d6194058a7b6",
+    "compare":
+        "981d37d7d9b7ac01b5627d0b0eb0a7f9ba262828eb1b73430ccf633e3bf4f17f",
+    "register":
+        "82fa070b47d02656175ca55205b21a269d38950f8b84eaddd0f25e0ed98fb2ea",
+    "mean":
+        "6d98e6a199f391a068511414d92ba885aa83aeb76f869319a660a23e90e0082b",
+    "pca":
+        "3776a7e7e28d9bc484b340f7fec5ea51a2b6362e9bcea817a9ac2481c70a8b44",
+    "scores":
+        "4a5727ed9a10e451ce736b799cdd5dda7016373a66607f30908ed5fa552c24e6",
+    "export-path":
+        "45f68fdd575e42b8e155c178cc04a838522379fb2ae0f334671840f1a192c9a5",
+    "regress":
+        "2e8724db8b4f05ade922e7994a0ccb4273ae5d0abd27fd974502273fae21cc45",
+}
+
+
+def test_every_command_s_outputs_are_pinned(runs):
+    got = {name: _outputs_digest(runs[name][0]) for name in _RUN_DIGESTS}
+    assert got == _RUN_DIGESTS
+    assert _outputs_digest(runs["simulate-again"][0]) == _RUN_DIGESTS["simulate"]
+
+
 def test_seeded_simulate_runs_are_byte_identical(runs):
     first, second = runs["simulate"][0], runs["simulate-again"][0]
     names = sorted(p.name for p in first.iterdir())
