@@ -13,18 +13,14 @@ fails leaves no output directory.
 
 Each setting has one source.  A command's defaults table is the only
 declaration of its config keys: a config may hold no other key, and
-each value must have the kind of its default (an integer, a number, or
-true or false).  Every command takes --out and --verbose.  simulate,
-compare and mean also take --config and --threads; register and pca
-take --config; scores, export-path and regress take only their own
-arguments.
+each value must have the kind of its default (an integer or a number).
+Every command takes --out and --verbose.  simulate, compare and mean
+also take --config and --threads; register takes --config; pca, scores,
+export-path and regress take only their own arguments.
 
 simulate and compare take their seeded two-class cohort from
 `synthetic.shape_line_cohort` and reparameterize each subject at
-random; this module builds no cohort of its own.  Their flow_degree
-is the harmonic degree of the cohort's bumps, not of the perturbing
-flows (`diffeos.RANDOM_FLOW_DEGREE`); it must lie below half the
-smaller grid dimension, at or above which the bumps alias on the grid.
+random; this module builds no cohort of its own.
 
 Exit codes: 0 success, 2 configuration error, 3 input error (a missing,
 malformed or inconsistent input file: surface, model or CSV table), 4
@@ -83,7 +79,6 @@ _SIM_DEFAULTS = {
     "displacement": 1.2,
     "mean_amplitude": 0.3,
     "perturb_magnitude": 0.5,
-    "flow_degree": 3,
     "seed": 0,
     "grid": "32x32",
     "registration": {"max_iters": 50, "rounds": 2, "tol_rel": 1e-4},
@@ -94,14 +89,13 @@ _CMP_DEFAULTS = {
     "displacement": 0.5,
     "mean_amplitude": 0.3,
     "perturb_magnitude": 0.5,
-    "flow_degree": 3,
     "seed": 0,
     "grid": "32x32",
     "registration": {"max_iters": 40, "rounds": 2, "tol_rel": 1e-4},
 }
 
 # Shape-line cohort keys that must be positive, and those that must not be negative.
-_POSITIVE_KEYS = ("flow_degree", "displacement")
+_POSITIVE_KEYS = ("displacement",)
 _NONNEGATIVE_KEYS = ("seed", "mean_amplitude", "perturb_magnitude")
 
 
@@ -190,8 +184,7 @@ def _perturbed_cohort(cfg: dict, n: int, salt: int):
 
     grid = make_grid(*_parse_grid(cfg["grid"]))
     mean, cohort = shape_line_cohort(
-        grid, cfg["seed"], n, float(cfg["displacement"]),
-        float(cfg["mean_amplitude"]), cfg["flow_degree"],
+        grid, cfg["seed"], n, float(cfg["displacement"]), float(cfg["mean_amplitude"])
     )
     seeds = np.random.SeedSequence([cfg["seed"], salt]).generate_state(n)
     magnitude = float(cfg["perturb_magnitude"])
@@ -210,6 +203,17 @@ def _table(matrix, header):
 def _rows(header, rows):
     """Writer of mixed-type rows with a header row (see `_run`)."""
     return partial(write_csv, header=header, rows=rows)
+
+
+def _cumvar_table(cv):
+    """Writer of a cumulative-variance table: depth d and its fraction."""
+    return _table(np.column_stack([np.arange(1, len(cv) + 1), cv]), ["d", "fraction"])
+
+
+def _labels_table(cohort):
+    """Writer of a shape-line cohort's labels.csv: id, label, coefficient."""
+    ids = _ids(len(cohort.labels))
+    return _rows(["id", "label", "coefficient"], zip(ids, cohort.labels, cohort.coefficients))
 
 
 def cmd_simulate(args, cfg):
@@ -232,7 +236,6 @@ def cmd_simulate(args, cfg):
 
     mean, cohort, perturbed = _perturbed_cohort(cfg, n, 1)
     ids = _ids(n)
-    labels = cohort.labels
 
     stages = {}
     stages["registered"] = _pairwise_field_dist([srnf(f) for f in cohort.surfaces])
@@ -247,10 +250,8 @@ def cmd_simulate(args, cfg):
     for stage, dist in stages.items():
         artifacts[f"dist_{stage}.csv"] = _table(dist, ids)
         artifacts[f"mds_{stage}.csv"] = _rows(["x1", "x2"], classical_mds(dist, 2).coords)
-        accuracy[stage] = knn_accuracy(dist, labels)
-    artifacts["labels.csv"] = _rows(
-        ["id", "label", "coefficient"], zip(ids, labels, cohort.coefficients)
-    )
+        accuracy[stage] = knn_accuracy(dist, cohort.labels)
+    artifacts["labels.csv"] = _labels_table(cohort)
     artifacts["accuracy.csv"] = _rows(["stage", "accuracy"], accuracy.items())
     summary = [f"{stage} 1-NN accuracy: {acc:.3f}" for stage, acc in accuracy.items()]
     return [], artifacts, summary
@@ -281,15 +282,8 @@ def cmd_mean(args, cfg):
     from .shape_stats import karcher_mean
 
     surfaces = _load_surfaces(args.surfaces)
-    init_index = cfg["init_index"]
-    if not 0 <= init_index < len(surfaces):
-        raise ConfigError(
-            f"init_index {init_index} out of range for {len(surfaces)} surfaces"
-        )
-
     result = karcher_mean(
-        surfaces, RegistrationOpts(**cfg["registration"]), init_index=init_index,
-        threads=args.threads,
+        surfaces, RegistrationOpts(**cfg["registration"]), threads=args.threads
     )
     artifacts = {"mean.surf": partial(save_surface, result.mean)}
     for i, f in enumerate(result.registered):
@@ -306,11 +300,10 @@ def cmd_pca(args, cfg):
 
     mean, *surfaces = _load_surfaces([args.mean, *args.surfaces])
     model = shape_pca(surfaces, mean)
-    cv = cumulative_variance(model, use_squared=cfg["use_squared"])
-    table = np.column_stack([np.arange(1, len(cv) + 1), cv])
+    cv = cumulative_variance(model)
     artifacts = {
         "model.eshm": partial(save_model, model),
-        "cumvar.csv": _table(table, ["d", "fraction"]),
+        "cumvar.csv": _cumvar_table(cv),
     }
     summary = [
         f"directions: {model.n_directions}; "
@@ -377,13 +370,20 @@ def cmd_export_path(args, cfg):
     if not np.isfinite(args.t_max) or args.t_max <= 0:
         raise ConfigError(f"t-max must be a positive finite number, got {args.t_max}")
 
-    t_values = np.linspace(-args.t_max, args.t_max, args.frames)
-    frames = pc_path(model, k - 1, t_values)
     u_names = [f"u{i}" for i in range(model.mean.grid.n_u)]
+    # A t-max that is finite but so large that the t values, a frame or a
+    # squared difference overflows is a configuration error.
+    try:
+        with np.errstate(over="raise"):
+            t_values = np.linspace(-args.t_max, args.t_max, args.frames)
+            frames = pc_path(model, k - 1, t_values)
+            diffs = [diff_field(fr, model.mean) for fr in frames]
+    except FloatingPointError:
+        raise ConfigError(f"t-max {args.t_max} is too large: the path overflows") from None
     artifacts = {"t_values.csv": _table(t_values[:, None], ["t"])}
-    for j, fr in enumerate(frames):
+    for j, (fr, diff) in enumerate(zip(frames, diffs)):
         artifacts[f"frame_{j:03d}.obj"] = partial(export_obj, fr)
-        artifacts[f"diff_{j:03d}.csv"] = _table(diff_field(fr, model.mean), u_names)
+        artifacts[f"diff_{j:03d}.csv"] = _table(diff, u_names)
     return [args.model], artifacts, [f"wrote {args.frames} frames along component {k}"]
 
 
@@ -516,14 +516,11 @@ def cmd_compare(args, cfg):
         rows.append([name, d_inter, d_intra, d_inter - d_intra])
         stacked = np.stack([f.points for f in surfaces])
         cv = cumulative_variance(shape_pca(surfaces, mean.with_points(stacked.mean(axis=0))))
-        cumvars[f"cumvar_{name}.csv"] = _table(
-            np.column_stack([np.arange(1, len(cv) + 1), cv]), ["d", "fraction"])
+        cumvars[f"cumvar_{name}.csv"] = _cumvar_table(cv)
     artifacts = {
         "class_distances.csv": _rows(["pipeline", "d_inter", "d_intra", "margin"], rows),
         **cumvars,
-        "labels.csv": _rows(
-            ["id", "label", "coefficient"], zip(_ids(n), labels, cohort.coefficients)
-        ),
+        "labels.csv": _labels_table(cohort),
     }
     summary = [f"{name + ':':<8} d_inter {d_inter:.6g}, d_intra {d_intra:.6g}"
                for name, d_inter, d_intra, _ in rows]
@@ -558,10 +555,10 @@ _COMMANDS = {
         arguments=(_arg("fixed", help="target surface file"),
                    _arg("moving", help="surface to align"))),
     "mean": _Command(
-        cmd_mean, "iterative mean shape of a cohort", {"init_index": 0, "registration": {}},
-        threads=True, arguments=(_arg("surfaces", nargs="+", help="surface files"),)),
+        cmd_mean, "iterative mean shape of a cohort", {"registration": {}}, threads=True,
+        arguments=(_arg("surfaces", nargs="+", help="surface files"),)),
     "pca": _Command(
-        cmd_pca, "principal components of registered surfaces", {"use_squared": False},
+        cmd_pca, "principal components of registered surfaces",
         arguments=(_arg("--mean", required=True, help="mean surface file"),
                    _arg("surfaces", nargs="+", help="registered surface files"))),
     "scores": _Command(
@@ -595,9 +592,9 @@ _COMMANDS = {
 def _resolve(cmd: _Command, args) -> dict:
     """The command's config: its defaults, then the --config file over them.
 
-    A value must have its default's kind: a JSON boolean for a bool, an
-    integer for an int, any number (finite, as the JSON reader checks) for
-    a float; a bool is neither of the last two.
+    A value must have its default's kind: an integer for an int, any
+    number (finite, as the JSON reader checks) for a float; a bool is
+    neither.
     """
     if cmd.threads and args.threads < 1:
         raise ConfigError("--threads must be at least 1")
@@ -608,26 +605,17 @@ def _resolve(cmd: _Command, args) -> dict:
     check_keys(cfg, cmd.defaults, f"{args.command} config")
     for key, default in cmd.defaults.items():
         value = cfg[key]
-        if isinstance(default, bool):
-            kind, valid = "true or false", isinstance(value, bool)
-        elif isinstance(default, (int, float)):
-            whole = isinstance(default, int)
-            kind, types = ("an integer", int) if whole else ("a number", (int, float))
-            valid = isinstance(value, types) and not isinstance(value, bool)
-        else:
+        if not isinstance(default, (int, float)):
             continue
-        if not valid:
+        kind, types = (("an integer", int) if isinstance(default, int)
+                       else ("a number", (int, float)))
+        if not isinstance(value, types) or isinstance(value, bool):
             raise ConfigError(f"{args.command} config: {key} must be {kind}, got {value!r}")
         if (key in _POSITIVE_KEYS and value <= 0) or (key in _NONNEGATIVE_KEYS and value < 0):
             bound = "positive" if key in _POSITIVE_KEYS else "nonnegative"
             raise ConfigError(f"{args.command} config: {key} must be {bound}, got {value!r}")
     if "grid" in cfg:
-        n_u, n_v = _parse_grid(cfg["grid"])
-        cfg["grid"] = f"{n_u}x{n_v}"
-        limit = min(n_u, n_v) / 2
-        if cfg["flow_degree"] >= limit:
-            raise ConfigError(f"{args.command} config: flow_degree must be below {limit:g} "
-                              f"on grid {cfg['grid']}, got {cfg['flow_degree']!r}")
+        cfg["grid"] = "{}x{}".format(*_parse_grid(cfg["grid"]))
     if "registration" in cfg:
         if not isinstance(cfg["registration"], dict):
             raise ConfigError("registration options must be a JSON object")

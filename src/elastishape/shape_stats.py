@@ -83,17 +83,16 @@ def register_cohort(
 def karcher_mean(
     surfaces: list,
     opts: RegistrationOpts | None = None,
-    init_index: int = 0,
     threads: int = 1,
 ) -> KarcherResult:
     """Iterative mean shape of a cohort.
 
-    Starts from surfaces[init_index] (the `mean` command's config key
-    `init_index` picks it), then runs a fixed number of outer iterations,
-    each registering every surface to the current mean and replacing the
-    mean with the arithmetic mean of the registered surfaces.  A final
-    registration pass aligns all inputs to the converged mean.  The
-    summed squared distances per iteration are logged and returned.
+    Starts from the first surface, then runs a fixed number of outer
+    iterations, each registering every surface to the current mean and
+    replacing the mean with the arithmetic mean of the registered
+    surfaces.  A final registration pass aligns all inputs to the
+    converged mean.  The summed squared distances per iteration are
+    logged and returned.
     Raises ValueError for no surfaces or surfaces on different grids.
     """
     if len(surfaces) < 1:
@@ -101,7 +100,7 @@ def karcher_mean(
     grid = surfaces[0].grid
     if not all(f.grid.same_dims(grid) for f in surfaces):
         raise ValueError("all surfaces must share grid dimensions")
-    mean = surfaces[init_index]
+    mean = surfaces[0]
 
     variance_trace = []
     for it in range(KARCHER_OUTER_ITERS):
@@ -161,16 +160,17 @@ def reconstruct(z: np.ndarray, model: ShapeModel) -> Surface:
     return Surface(grid=grid, points=flat.reshape(grid.n_v, grid.n_u, 3))
 
 
-def cumulative_variance(model: ShapeModel, use_squared: bool = False) -> np.ndarray:
+def cumulative_variance(model: ShapeModel) -> np.ndarray:
     """Running fraction of a ShapeModel's total singular value captured
     by the first d directions.
 
-    The default follows the singular-value proportion convention; set
-    use_squared for the eigenvalue (variance) convention.
+    This is the singular-value proportion convention, not the eigenvalue
+    (variance) one, which would weight each direction by its singular
+    value squared.  A model whose singular values are all zero gives ones.
     """
-    if len(model.singulars) == 0:
+    vals = model.singulars
+    if len(vals) == 0:
         raise ValueError("model has no singular values")
-    vals = model.singulars**2 if use_squared else model.singulars
     total = float(vals.sum())
     if total <= 0.0:
         return np.ones(len(vals))

@@ -36,6 +36,11 @@ BDI_RANGE = (0.0, 40.0)
 ICV_MEAN = 1.5e6
 ICV_SD = 1.0e5
 
+# Harmonic degree of the shape-line cohort's bumps, in its mean and its
+# direction; below half of the smallest grid side (MIN_GRID_DIM 8), so
+# the bumps do not alias on any allowed grid.
+BUMP_DEGREE = 3
+
 # Successive mean-shape seeds tried before a bump amplitude is rejected.
 _MEAN_SEED_ATTEMPTS = 8
 
@@ -171,25 +176,26 @@ def gen_surface(
 
 
 def shape_line_cohort(grid: SphericalGrid, seed: int, n: int, displacement: float,
-                      mean_amplitude: float, degree: int):
+                      mean_amplitude: float):
     """Two-class cohort f_i = mean + x_i * v on one shape line, and its mean.
 
-    The mean is a bumpy sphere of the given amplitude and bump degree; it
-    takes the first of the successive SeedSequence([seed, 5]) states
-    whose bumps keep the radius positive, and after _MEAN_SEED_ATTEMPTS
-    states the last ConfigError is raised.  The bumpy mean pins the
-    registration frame, which a rotationally symmetric one would leave
-    free.  The direction v is the unit field of seeded harmonic bumps
-    along the radius (SeedSequence([seed, 7])).  The first (n + 1) // 2
-    subjects get x > 0 (label 1), the rest x < 0 (label 0), with
-    magnitudes drawn in [displacement/2, displacement] (SeedSequence([seed,
-    9])) so no subject sits on the class boundary closer than the
-    registration residual can resolve.
+    The mean is a bumpy sphere of the given amplitude, with bumps of
+    degree BUMP_DEGREE; it takes the first of the successive
+    SeedSequence([seed, 5]) states whose bumps keep the radius positive,
+    and after _MEAN_SEED_ATTEMPTS states the last ConfigError is raised.
+    The bumpy mean pins the registration frame, which a rotationally
+    symmetric one would leave free.  The direction v is the unit field of
+    seeded harmonic bumps of the same degree along the radius
+    (SeedSequence([seed, 7])).  The first (n + 1) // 2 subjects get x > 0
+    (label 1), the rest x < 0 (label 0), with magnitudes drawn in
+    [displacement/2, displacement] (SeedSequence([seed, 9])) so no
+    subject sits on the class boundary closer than the registration
+    residual can resolve.
     """
     for mean_seed in np.random.SeedSequence([seed, 5]).generate_state(_MEAN_SEED_ATTEMPTS):
         try:
             mean = gen_surface(
-                "bumpy-sphere", grid, amplitude=mean_amplitude, degree=degree,
+                "bumpy-sphere", grid, amplitude=mean_amplitude, degree=BUMP_DEGREE,
                 seed=int(mean_seed),
             )
             break
@@ -198,7 +204,7 @@ def shape_line_cohort(grid: SphericalGrid, seed: int, n: int, displacement: floa
     else:
         raise error
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    v = (radial_bump(grid, degree, rng)[..., None] * grid.nodes()).reshape(-1)
+    v = (radial_bump(grid, BUMP_DEGREE, rng)[..., None] * grid.nodes()).reshape(-1)
     nn = float(np.linalg.norm(v))
     if nn <= 0:
         raise NumericalError("degenerate perturbation direction")

@@ -174,7 +174,7 @@ def test_icp_matches_the_kd_tree_reference(grid_name, request):
     # clouds as `compare` builds them: a seeded cohort, each subject
     # reparameterized by a seeded random diffeomorphism
     grid = request.getfixturevalue(grid_name)
-    _, cohort = shape_line_cohort(grid, 7, 4, 0.5, 0.3, 3)
+    _, cohort = shape_line_cohort(grid, 7, 4, 0.5, 0.3)
     seeds = np.random.SeedSequence([7, 2]).generate_state(4)
     clouds = [pullback(f, random_diffeo(grid, int(s), 0.5)).points.reshape(-1, 3)
               for f, s in zip(cohort.surfaces, seeds)]

@@ -134,7 +134,7 @@ def test_unknown_config_key_exits_2(workspace, tmp_path, capsys):
         {"registration": {"max_iters": True}},
         {"registration": {"rounds": 1.0}},
         {"n_subjects": 4.7},
-        {"flow_degree": True},
+        {"seed": True},
         {"seed": 1.5},
         {"seed": -1},
         {"perturb_magnitude": float("nan")},
@@ -161,16 +161,11 @@ def test_registration_options_that_disable_the_search_exit_2(tmp_path, capsys, r
     "command, key, value, bound",
     [("simulate", "displacement", 0.0, "positive"),
      ("simulate", "displacement", -1.0, "positive"),
-     ("simulate", "flow_degree", 0, "positive"),
      ("simulate", "perturb_magnitude", -0.5, "nonnegative"),
      ("compare", "displacement", 0, "positive"),
      ("compare", "displacement", -0.5, "positive"),
-     ("compare", "flow_degree", -2, "positive"),
      ("compare", "mean_amplitude", -0.1, "nonnegative"),
-     ("compare", "seed", -1, "nonnegative"),
-     # a bump degree of half the grid side or more aliases on the grid
-     ("simulate", "flow_degree", 4, "below 4 on grid 8x8"),
-     ("compare", "flow_degree", 7, "below 4 on grid 8x8")],
+     ("compare", "seed", -1, "nonnegative")],
 )
 def test_shape_line_values_out_of_range_exit_2_naming_the_key(tmp_path, capsys, command,
                                                               key, value, bound):
@@ -190,19 +185,6 @@ def test_a_grid_below_the_minimum_exits_2_naming_the_grid(tmp_path, capsys, grid
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "payload", [{"use_squared": "yes"}, {"use_squared": 1}],
-    ids=["use_squared-string", "use_squared-one"],
-)
-def test_boolean_config_keys_must_be_json_booleans(workspace, tmp_path, capsys, payload):
-    cfg = _write_config(tmp_path, payload)
-    out = tmp_path / "o"
-    assert main(["pca", "--mean", str(workspace / "base.surf"),
-                 str(workspace / "member_0.surf"), "--config", cfg, "--out", str(out)]) == 2
-    assert "pca config: use_squared must be true or false" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_bad_thread_and_seed_values(tmp_path, capsys):
     assert main(["simulate", "--threads", "0"]) == 2
     assert "--threads must be at least 1" in capsys.readouterr().err
@@ -212,7 +194,7 @@ def test_bad_thread_and_seed_values(tmp_path, capsys):
 
 
 def test_mean_command(workspace, tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"registration": FAST_REG, "init_index": 1})
+    cfg = _write_config(tmp_path, {"registration": FAST_REG})
     out = tmp_path / "mean-out"
     members = [str(workspace / f"member_{i}.surf") for i in range(3)]
     code = main(["mean", *members, "--config", cfg, "--out", str(out)])
@@ -227,28 +209,17 @@ def test_mean_command(workspace, tmp_path, capsys):
     assert len(rows) == 6
 
 
-def test_mean_init_index_out_of_range(workspace, tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"init_index": 9})
-    code = main(
-        ["mean", str(workspace / "base.surf"), "--config", cfg,
-         "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    assert "init_index" in capsys.readouterr().err
-
-
-def test_pca_reads_a_json_config_with_a_bom(workspace, tmp_path):
-    cfg = _write_config(tmp_path, {"use_squared": True})
+def test_register_reads_a_json_config_with_a_bom(workspace, tmp_path):
+    cfg = _write_config(tmp_path, {"registration": {"max_iters": 3, "rounds": 1}})
     bom_cfg = _with_bom(tmp_path / "cfg.json", tmp_path / "bom.json")
-    argv = ["pca", "--mean", str(workspace / "base.surf"),
-            *(str(workspace / f"member_{i}.surf") for i in range(3))]
-    tables = []
+    argv = ["register", str(workspace / "base.surf"), str(workspace / "member_0.surf")]
+    traces = []
     for name, path in (("a", cfg), ("b", bom_cfg)):
         assert main([*argv, "--config", str(path), "--out", str(tmp_path / name)]) == 0
-        tables.append((tmp_path / name / "cumvar.csv").read_bytes())
-    assert tables[0] == tables[1]
+        traces.append((tmp_path / name / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert manifest["config"]["use_squared"] is True
+    assert manifest["config"]["registration"]["max_iters"] == 3
 
 
 def test_pca_outputs(workspace):
@@ -382,6 +353,14 @@ def test_export_path_validation(workspace, tmp_path, capsys):
                      "--out", str(out)]) == 2, value
         err = capsys.readouterr().err
         assert f"t-max must be a positive finite number, got {value}" in err
+        assert not out.exists()
+    # Finite but too large: the t values overflow at 1e308, the squared
+    # differences of this model's frames at 1e160.
+    for value in ("1e308", "1e160"):
+        out = tmp_path / value
+        assert main(["export-path", "--model", model, "--t-max", value,
+                     "--out", str(out)]) == 2, value
+        assert f"t-max {float(value)} is too large" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -840,6 +819,7 @@ def test_commands_reject_common_flags_they_do_not_read(workspace, tmp_path, caps
     regress = ["regress", "--covariates", "cov.csv", "--scores", "shape=s.csv"]
     for argv in (
         ["scores", "--model", model, "--config", "x.json", member],
+        ["pca", "--mean", member, "--config", "x.json", member],
         [*regress, "--grid", "16x16"],
         [*regress, "--config", "x.json"],
         ["simulate", "--seed", "3"],
@@ -874,7 +854,7 @@ def runs(workspace, regress_inputs, tmp_path_factory):
     reg_cfg = _write_config(root, {"registration": fast}, "reg.json")
     sim_expected = {
         "n_subjects": 4, "displacement": 1.2, "mean_amplitude": 0.3,
-        "perturb_magnitude": 0.3, "flow_degree": 3, "seed": 3, "grid": "16x16",
+        "perturb_magnitude": 0.3, "seed": 3, "grid": "16x16",
         "registration": _reg(max_iters=2, rounds=2, tol_rel=1e-4),
     }
     table = {
@@ -882,14 +862,14 @@ def runs(workspace, regress_inputs, tmp_path_factory):
         "simulate-again": (["--config", sim_cfg], sim_expected, {"threads": 1}, []),
         "compare": (["--config", cmp_cfg, "--threads", "2"], {
             "n_per_class": 2, "displacement": 0.5, "mean_amplitude": 0.3,
-            "perturb_magnitude": 0.5, "flow_degree": 3, "seed": 0, "grid": "16x16",
+            "perturb_magnitude": 0.5, "seed": 0, "grid": "16x16",
             "registration": _reg(**fast, tol_rel=1e-4)}, {"threads": 2}, []),
         "register": ([f"{ws}/base.surf", f"{ws}/rotated.surf", "--config", reg_cfg],
                      {"registration": _reg(**fast)},
                      {"fixed": f"{ws}/base.surf", "moving": f"{ws}/rotated.surf"},
                      [f"{ws}/base.surf", f"{ws}/rotated.surf"]),
         "mean": ([*members, "--config", reg_cfg],
-                 {"init_index": 0, "registration": _reg(**fast)},
+                 {"registration": _reg(**fast)},
                  {"threads": 1, "surfaces": members}, members),
         "scores": (["--model", model, "--depth", "2", *members], {},
                    {"model": model, "depth": 2, "surfaces": members}, [model, *members]),
@@ -908,7 +888,7 @@ def runs(workspace, regress_inputs, tmp_path_factory):
         assert main([name.removesuffix("-again"), *argv, "--out", str(root / name)]) == 0
     # pca ran with its defaults when the workspace was built.
     pca_members = [f"{ws}/member_{i}.surf" for i in range(4)]
-    out["pca"] = (workspace / "pca-out", {"use_squared": False},
+    out["pca"] = (workspace / "pca-out", {},
                   {"mean": f"{ws}/base.surf", "surfaces": pca_members},
                   [f"{ws}/base.surf", *pca_members])
     return out

@@ -1,5 +1,6 @@
-"""Every public function and class of the package has a caller, and every
-defaulted field of a public dataclass has a caller that sets it.
+"""Every public function and class of the package has a caller, every
+defaulted field of a public dataclass has a caller that sets it, and every
+defaulted parameter of a public function has a caller that passes it.
 
 A top-level function or class of `src/elastishape/*.py` whose name has no
 leading underscore must be referenced, as a name or an attribute in code,
@@ -12,6 +13,12 @@ A field with a default is set when some code passes it by keyword to a
 call of its class or of `dataclasses.replace`, or names it as a string key
 of a dict literal in a module that unpacks some dict with `**` into a call
 of its class or of `replace`.
+
+A parameter with a default, of a top-level function of the package whose
+name has no leading underscore, is passed when some call of that name in
+the package or in `bench/*.py` passes it by position or by keyword, or
+unpacks a sequence or a mapping where it would go.  `partial(f, ...)`
+counts as a call of `f`.
 """
 
 import ast
@@ -25,8 +32,13 @@ TREES = {path: ast.parse(path.read_text(), str(path))
 
 # Public names kept without a caller, with the reason for each.
 ALLOWED = {
-    "grids.normalize": "ROADMAP item 6 decides whether shape scores carry scale",
-    "grids.surface_area": "ROADMAP item 6 decides whether shape scores carry scale",
+    "grids.normalize": "ROADMAP item 5 decides whether shape scores carry scale",
+    "grids.surface_area": "ROADMAP item 5 decides whether shape scores carry scale",
+}
+
+# Defaulted parameters kept with no caller that passes them, with the reason for each.
+ALLOWED_PARAMETERS = {
+    "grids.normalize(unit_scale)": "ROADMAP item 5 decides whether shape scores carry scale",
 }
 
 
@@ -88,3 +100,37 @@ def test_every_defaulted_dataclass_field_is_set_by_a_caller():
              if name not in set_by.get(cls, set()) | set_by.get("replace", set())]
     assert not unset, (
         f"no caller sets {unset}: make them module constants, or delete them")
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    passed = {}  # callee name -> positions and keyword names passed somewhere
+    for tree in TREES.values():
+        for node in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name, args = _callee(node), node.args
+            if name == "partial" and args:  # partial(f, ...) passes on to f
+                name, args = _callee(ast.Call(func=args[0])), args[1:]
+            seen = passed.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in args):
+                seen.add("*")
+            seen.update(range(len(args)))
+            seen.update(k.arg if k.arg else "**" for k in node.keywords)
+    unpassed = set()
+    for path in PACKAGE:
+        for node in TREES[path].body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            seen = passed.get(node.name, set())
+            positional = [*node.args.posonlyargs, *node.args.args]
+            first_defaulted = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional[first_defaulted:], first_defaulted):
+                if not seen & {i, arg.arg, "*", "**"}:
+                    unpassed.add(f"{path.stem}.{node.name}({arg.arg})")
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None and not seen & {arg.arg, "**"}:
+                    unpassed.add(f"{path.stem}.{node.name}({arg.arg})")
+    assert not unpassed - ALLOWED_PARAMETERS.keys(), (
+        f"no caller passes {sorted(unpassed - ALLOWED_PARAMETERS.keys())}: make them "
+        "constants, or add them to ALLOWED_PARAMETERS with a reason")
+    assert not ALLOWED_PARAMETERS.keys() - unpassed, (
+        f"{sorted(ALLOWED_PARAMETERS.keys() - unpassed)} now have a caller: take them out "
+        "of ALLOWED_PARAMETERS")

@@ -131,10 +131,6 @@ def test_cumulative_variance_conventions(grid16):
     assert (np.diff(cv) >= -1e-15).all()
     assert_allclose(cv[-1], 1.0, rtol=1e-12)
     assert_allclose(cv, np.cumsum(model.singulars) / model.singulars.sum())
-    cv2 = cumulative_variance(model, use_squared=True)
-    assert_allclose(cv2, np.cumsum(model.singulars**2) / (model.singulars**2).sum())
-    # squared weighting concentrates mass in the leading directions
-    assert cv2[0] > cv[0]
 
 
 def test_cumulative_variance_of_degenerate_cohort(grid16):

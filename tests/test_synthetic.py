@@ -7,9 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from elastishape.errors import ConfigError
-from elastishape.grids import make_grid, surface_area
+from elastishape.grids import MIN_GRID_DIM, make_grid, surface_area
 from elastishape.regression import _RANGES, CovariateTable
 from elastishape.synthetic import (
+    BUMP_DEGREE,
     CohortSpec,
     gen_regression_cohort,
     gen_surface,
@@ -51,8 +52,12 @@ def test_bump_degree_below_one_is_rejected(grid16):
         gen_surface("bumpy-sphere", grid16, amplitude=0.1, degree=0)
 
 
+def test_shape_line_bumps_do_not_alias_on_the_smallest_grid():
+    assert 1 <= BUMP_DEGREE < MIN_GRID_DIM / 2
+
+
 def test_pca_cohort_layout(grid16):
-    mean, cohort = shape_line_cohort(grid16, 3, 5, 0.8, 0.2, 2)
+    mean, cohort = shape_line_cohort(grid16, 3, 5, 0.8, 0.2)
     assert len(cohort.surfaces) == 5
     x = cohort.coefficients
     assert np.all(x[:3] > 0) and np.all(x[3:] < 0)
@@ -68,13 +73,13 @@ def test_pca_cohort_layout(grid16):
 
 
 def test_shape_line_cohort_is_seeded(grid16):
-    mean, cohort = shape_line_cohort(grid16, 3, 4, 1.2, 0.2, 2)
-    again_mean, again = shape_line_cohort(grid16, 3, 4, 1.2, 0.2, 2)
+    mean, cohort = shape_line_cohort(grid16, 3, 4, 1.2, 0.2)
+    again_mean, again = shape_line_cohort(grid16, 3, 4, 1.2, 0.2)
     assert np.array_equal(mean.points, again_mean.points)
     assert np.array_equal(cohort.coefficients, again.coefficients)
     assert all(np.array_equal(a.points, b.points)
                for a, b in zip(cohort.surfaces, again.surfaces))
-    other_mean, other = shape_line_cohort(grid16, 4, 4, 1.2, 0.2, 2)
+    other_mean, other = shape_line_cohort(grid16, 4, 4, 1.2, 0.2)
     assert not np.array_equal(mean.points, other_mean.points)
     assert not np.array_equal(cohort.coefficients, other.coefficients)
 
@@ -84,16 +89,17 @@ def test_shape_line_cohort_skips_mean_seeds_that_make_the_radius_nonpositive():
     for seed in (6, 205):
         first = int(np.random.SeedSequence([seed, 5]).generate_state(1)[0])
         with pytest.raises(ConfigError, match="nonpositive"):
-            gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
-        mean, cohort = shape_line_cohort(grid, seed, 4, 1.2, 0.3, 3)
+            gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=BUMP_DEGREE, seed=first)
+        mean, cohort = shape_line_cohort(grid, seed, 4, 1.2, 0.3)
         assert len(cohort.surfaces) == 4
     # A seed whose first state works keeps that mean.
-    mean, _ = shape_line_cohort(grid, 0, 4, 1.2, 0.3, 3)
+    mean, _ = shape_line_cohort(grid, 0, 4, 1.2, 0.3)
     first = int(np.random.SeedSequence([0, 5]).generate_state(1)[0])
-    expected = gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=3, seed=first)
+    expected = gen_surface("bumpy-sphere", grid, amplitude=0.3, degree=BUMP_DEGREE,
+                           seed=first)
     assert np.array_equal(mean.points, expected.points)
     with pytest.raises(ConfigError, match="nonpositive"):
-        shape_line_cohort(grid, 0, 4, 1.2, 50.0, 3)
+        shape_line_cohort(grid, 0, 4, 1.2, 50.0)
 
 
 def test_cohort_spec_validation():
@@ -203,7 +209,7 @@ def test_seeded_generator_outputs_keep_their_bytes(tmp_path):
         assert _sha256((tmp_path / f"{s.response}.csv").read_bytes()) == \
             _COHORT_DIGESTS[s.response]
         assert _sha256(cohort.truth.scores["shape"].tobytes()) == _SCORES_DIGEST
-    mean, cohort = shape_line_cohort(make_grid(12, 10), 6, 5, 1.2, 0.3, 3)
+    mean, cohort = shape_line_cohort(make_grid(12, 10), 6, 5, 1.2, 0.3)
     points = np.stack([f.points for f in cohort.surfaces])
     assert tuple(_sha256(a.tobytes()) for a in (mean.points, points,
                                                 cohort.coefficients)) == _LINE_DIGESTS
