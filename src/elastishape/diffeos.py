@@ -18,7 +18,6 @@ from .errors import OrientationError
 from .grids import (
     SphericalGrid,
     Surface,
-    _per_component,
     _periodic_diff,
     _polar_diff,
     bilinear_sample,
@@ -116,15 +115,27 @@ def pullback(f: Surface, g: Diffeo) -> Surface:
     return Surface(grid=f.grid, points=bilinear_sample(f.grid, f.points, theta, phi))
 
 
-def flow_step(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """Move points along a tangent velocity field and re-project to S²."""
-    moved = points + velocity
-    sq = moved * moved
+def flow_step(
+    points: np.ndarray, velocity: np.ndarray, out: np.ndarray | None = None, work=None
+) -> np.ndarray:
+    """Move points along a tangent velocity field and re-project to S².
+
+    out receives the moved points and may be velocity itself, or a view
+    of component planes; work, of shape (2,) + out.shape[:-1], holds the
+    norms.  Each is fresh when not given.
+    """
+    moved = np.add(points, velocity, out=out)
+    if work is None:
+        work = np.empty((2,) + moved.shape[:-1])
+    norms, sq = work[0, ...], work[1, ...]
     # (x^2 + y^2) + z^2: the order of numpy's sum over a length-3 axis
-    norms = sq[..., 0] + sq[..., 1]
-    norms += sq[..., 2]
+    np.multiply(moved[..., 0], moved[..., 0], out=norms)
+    np.multiply(moved[..., 1], moved[..., 1], out=sq)
+    norms += sq
+    np.multiply(moved[..., 2], moved[..., 2], out=sq)
+    norms += sq
     np.sqrt(norms, out=norms)
-    moved /= _per_component(norms, 3)
+    moved /= norms[..., None]
     return moved
 
 

@@ -209,52 +209,53 @@ def angles_to_sphere(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(theta), st * np.sin(theta), np.cos(phi)], axis=-1)
 
 
-def sphere_to_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuth in [0, 2*pi] and polar angle in [0, pi] of unit vectors."""
-    theta = np.arctan2(points[..., 1], points[..., 0])
+def sphere_to_angles(
+    points: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth in [0, 2*pi] and polar angle in [0, pi] of unit vectors.
+
+    points holds the vectors along its last axis, which may be a view of
+    component planes.  out, of shape (2,) + points.shape[:-1], receives
+    theta and phi; it is fresh when not given.
+    """
+    if out is None:
+        out = np.empty((2,) + points.shape[:-1])
+    # Indexing with ... keeps a single (3,) point's angles 0-d arrays.
+    theta, phi = out[0, ...], out[1, ...]
+    np.arctan2(points[..., 1], points[..., 0], out=theta)
     # np.mod(theta, 2 pi) on the arctan2 range [-pi, pi], bit for bit:
-    # negative angles gain 2 pi (a tiny one rounds to 2 pi itself), and
-    # the 0.0 added to the others turns -0.0 into +0.0 as np.mod does.
-    theta += (theta < 0.0) * (2.0 * np.pi)
-    # An explicit output keeps phi an array for a single (3,) point too.
-    phi = np.maximum(points[..., 2], -1.0, out=np.empty(points.shape[:-1]))
+    # the 0.0 added turns -0.0 into +0.0 as np.mod does, and negative
+    # angles gain 2 pi (a tiny one rounds to 2 pi itself).
+    theta += 0.0
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0.0)
+    np.maximum(points[..., 2], -1.0, out=phi)
     np.minimum(phi, 1.0, out=phi)
     np.arccos(phi, out=phi)
     return theta, phi
 
 
-def _per_component(weights: np.ndarray, count: int) -> np.ndarray:
-    """weights[..., None] repeated count times along a new last axis.
-
-    Column by column, which is cheaper than np.repeat; the repeated
-    weights make the products with (..., count) fields elementwise
-    instead of broadcast along a short last axis.
-    """
-    out = np.empty(weights.shape + (count,))
-    for c in range(count):
-        out[..., c] = weights
-    return out
-
-
 def _pole_padded(values: np.ndarray) -> np.ndarray:
-    """values with a row across each pole and column 0 repeated last.
+    """values as component planes, with a row across each pole and
+    column 0 repeated last.
 
-    Across a pole, polar angle -dphi / 2 is row 0 at azimuth theta + pi,
-    and pi + dphi / 2 is row n_v - 1 there; these become rows 0 and
-    n_v + 1.  For odd n_u, theta + pi falls midway between two columns,
-    and the row across takes their mean.
+    values has shape (n_v, n_u) + tail, and the result tail + (n_v + 2,
+    n_u + 1).  Across a pole, polar angle -dphi / 2 is row 0 at azimuth
+    theta + pi, and pi + dphi / 2 is row n_v - 1 there; these become rows
+    0 and n_v + 1.  For odd n_u, theta + pi falls midway between two
+    columns, and the row across takes their mean.
     """
     n_v, n_u = values.shape[:2]
-    padded = np.empty((n_v + 2, n_u + 1) + values.shape[2:])
-    padded[1:-1, :-1] = values
-    ends = values[::n_v - 1]
+    planes = np.moveaxis(values, (0, 1), (-2, -1))
+    padded = np.empty(planes.shape[:-2] + (n_v + 2, n_u + 1))
+    padded[..., 1:-1, :-1] = planes
+    ends = planes[..., ::n_v - 1, :]
     half = n_u // 2
-    across = padded[::n_v + 1, :-1]
-    across[:] = np.roll(ends, -half, axis=1)
+    across = padded[..., ::n_v + 1, :-1]
+    across[:] = np.roll(ends, -half, axis=-1)
     if n_u % 2:
-        across += np.roll(ends, -half - 1, axis=1)
+        across += np.roll(ends, -half - 1, axis=-1)
         across *= 0.5
-    padded[:, -1] = padded[:, 0]
+    padded[..., -1] = padded[..., 0]
     return padded
 
 
@@ -270,58 +271,75 @@ def bilinear_sample(
     [0, pi].  values has shape (n_v, n_u, ...) and the result has shape
     theta.shape + values.shape[2:].
     """
-    return _padded_sample(grid, _pole_padded(values), theta, phi)
+    planes = _padded_sample(grid, _pole_padded(values), theta, phi)
+    k = values.ndim - 2
+    return np.moveaxis(planes, range(k), range(-k, 0)).copy()
 
 
 def _padded_sample(
-    grid: SphericalGrid, padded: np.ndarray, theta: np.ndarray, phi: np.ndarray
+    grid: SphericalGrid, padded: np.ndarray, theta: np.ndarray, phi: np.ndarray, out=None,
+    work=None
 ) -> np.ndarray:
     """`bilinear_sample` of a field already padded by `_pole_padded`, so a
-    caller that samples one field many times pads it once."""
-    tail = padded.shape[2:]
-    tu = np.array(theta, dtype=float, ndmin=1)
-    tu /= grid.d_theta
-    i0 = np.floor(tu)
-    # The azimuth and polar fractions, au and av, side by side.
-    frac = np.empty((2,) + tu.shape)
-    np.subtract(tu, i0, out=frac[0])
-    i0 = i0.astype(np.intp)
-    np.remainder(i0, grid.n_u, out=i0)
+    caller that samples one field many times pads it once.
 
+    Returns component planes, of shape tail + theta.shape for a padded
+    field of shape tail + (n_v + 2, n_u + 1): the node weights then
+    broadcast along the leading axes.  out receives the planes, and work,
+    of shape (6 + prod(tail),) + theta.shape, holds the weights, the
+    indices and one corner's values; each is fresh when not given.
+    """
+    tail = padded.shape[:-2]
+    count = math.prod(tail)
+    # At least one axis, so that work's rows are arrays for scalar angles.
+    shape = np.shape(theta) or (1,)
+    if work is None:
+        work = np.empty((6 + count,) + shape)
+    if out is None:
+        out = np.empty(tail + shape)
+    au, av, bu, bv, low = work[:5]
+    at = work[5].view(np.intp)
+    part = work[6:6 + count]
+
+    # The azimuth fraction au, and the cell's column, wrapped.
+    np.divide(theta, grid.d_theta, out=au)
+    np.floor(au, out=low)
+    au -= low
+    np.copyto(at, low, casting="unsafe")
+    np.remainder(at, grid.n_u, out=at)
     # Row position among the padded rows: grid row j sits at j + 1.
-    tv = np.array(phi, dtype=float, ndmin=1)
-    tv /= grid.d_phi
-    tv += 0.5
-    j0 = np.floor(tv)
-    np.subtract(tv, j0, out=frac[1])
+    np.divide(phi, grid.d_phi, out=av)
+    av += 0.5
+    np.floor(av, out=low)
+    av -= low
+    np.subtract(1.0, au, out=bu)
+    np.subtract(1.0, av, out=bv)
 
     # Gather from the padded grid, flattened: node (j, i) sits at
     # j * width + i, so its azimuth neighbour i + 1 is the next entry
     # with no wrap, and the same node on row j + 1 is width entries on.
+    # The integer-valued doubles make that index exactly.
     width = grid.n_u + 1
-    flat = padded.reshape(((grid.n_v + 2) * width,) + tail)
-    at = j0.astype(np.intp)
-    at *= width
-    at += i0
-    shp = (2,) + tu.shape + tail
-    frac = _per_component(frac, math.prod(tail)).reshape(shp)
-    au, av = frac
-    bu, bv = 1.0 - frac
+    low *= width
+    low += at
+    np.copyto(at, low, casting="unsafe")
+    flat = padded.reshape(count, -1)
+    res = out.reshape((count,) + shape)
     # The indices are in range for phi in [0, pi], and "clip" lets take
     # write into out without the buffer that the default "raise" mode adds.
-    out = flat.take(at, axis=0, mode="clip")
-    out *= bu
-    out *= bv
-    part = flat[1:].take(at, axis=0, mode="clip")
+    flat.take(at, axis=1, out=res, mode="clip")
+    res *= bu
+    res *= bv
+    flat[:, 1:].take(at, axis=1, out=part, mode="clip")
     part *= au
     part *= bv
-    out += part
-    flat[width:].take(at, axis=0, out=part, mode="clip")
+    res += part
+    flat[:, width:].take(at, axis=1, out=part, mode="clip")
     part *= bu
     part *= av
-    out += part
-    flat[width + 1:].take(at, axis=0, out=part, mode="clip")
+    res += part
+    flat[:, width + 1:].take(at, axis=1, out=part, mode="clip")
     part *= au
     part *= av
-    out += part
-    return out.reshape(np.shape(theta) + tail)
+    res += part
+    return out.reshape(tail + np.shape(theta))

@@ -14,25 +14,35 @@ The pole-smoothed target field is padded for sampling once per search
 
 The gradient is a centered finite-difference stencil: two objective
 evaluations per basis field, at +-GRAD_STEP.  Those maps are evaluated as
-stacks of shape (maps, n_v, n_u, 3): the flow step, the image angles, the
-orientation check, the sampled action and the residual sums each take one
-numpy call per stack instead of one per map, while the area Jacobian, from
-Cartesian differences of each image (`diffeos.jacobian_from_angles`),
-runs map by map.  The one Jacobian serves both the orientation check
-and the action's sqrt(J sin phi_grid) factor.  Every product of a
-per-node factor with the 3-vector field multiplies by the factor
-repeated per component (`grids._per_component`), not by a broadcast
-along the short last axis.  A stack holds the +h and -h maps of
-STENCIL_FIELDS fields, 4 maps at every grid size.  Larger stacks do not
-pay: inside a `register` search, stacks of 12 to 60 maps took 95 to 3350
-minor page faults per `_action_values` call from 16x16 to 64x64, where
-4 maps took a median of none.  At 32x32, 4 maps was the fastest on one
-thread in 3 of 4 sweeps of 2, 4, 6 and 8 maps.  Stacking changes no
-arithmetic, so the gradient is bit for bit the per-field one.
+stacks: the flow step, the image angles, the orientation check, the
+sampled action and the residual sums each take one numpy call per stack
+instead of one per map, while the area Jacobian, from Cartesian
+differences of each image (`diffeos.jacobian_from_angles`), runs map by
+map.  The one Jacobian serves both the orientation check and the
+action's sqrt(J sin phi_grid) factor.  A stack holds the +h and -h maps
+of STENCIL_FIELDS fields, 8 maps at every grid size.
+
+Each search evaluates every stack and every line-search trial in one work
+buffer of its own (`_work_buffer`).  The buffer holds the images as
+component planes (maps, 3, n_v, n_u) and the sampled action as (3, maps,
+n_v, n_u), so the bilinear weights, the root factor and 1/|moved|
+broadcast along leading axes; only the residual sums read the field back
+node by node, in numpy's order.  A reused buffer takes no page faults at
+any stack size: one gradient took none from 16x16 to 64x64 with stacks
+of 4 to 60 maps, where stacks of 8 fresh-array maps took 2384 per
+gradient at 32x32 and 10784 at 64x64.  On one thread (medians of 30
+interleaved gradients), 8 maps took 0.87, 0.94 and 1.00 of the 4-map
+time at 16x16, 32x32 and 64x64, and 16 maps 0.82, 0.91 and 1.08.  What
+bounds the stack is memory: 18 doubles per map node, 1.2 MB per search
+at 32x32, and `compare --threads 2` runs two searches at once.  There 8
+maps raised the command's peak RSS 5.0-5.3% above the earlier 4
+fresh-array maps, and 10 maps 5.6-6.0%.  Stacking changes no arithmetic,
+so the gradient is bit for bit the per-field one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +63,8 @@ __all__ = [
     "reparam_gradient",
 ]
 
-# Fields per stack of the gradient's stencil: their +h and -h maps, 4 maps.
-STENCIL_FIELDS = 2
+# Fields per stack of the gradient's stencil: their +h and -h maps, 8 maps.
+STENCIL_FIELDS = 4
 
 # Highest harmonic degree of the tangent basis: 30 fields.
 BASIS_DEGREE = 3
@@ -129,38 +139,65 @@ def optimal_rotation(q1: SrnfField, q2: SrnfField) -> np.ndarray:
     return _proper_rotation(np.einsum("vui,vuj->ij", q1.q, q2.q) * q1.grid.cell_measure)
 
 
+def _work_buffer(grid: SphericalGrid, maps: int) -> np.ndarray:
+    """One search's work buffer, for stacks of up to `maps` maps: 18
+    doubles per map node, in the parts `_stack_views` lists."""
+    return np.empty(18 * maps * grid.n_v * grid.n_u)
+
+
+def _stack_views(buffer: np.ndarray, grid: SphericalGrid, maps: int) -> list:
+    """Contiguous views of the front of a work buffer, for a stack of
+    `maps` maps: the images as component planes, their angles, Jacobians,
+    the sampled action as component planes and the sampler's work."""
+    nodes = (maps, grid.n_v, grid.n_u)
+    views, start = [], 0
+    for shape in [(maps, 3) + nodes[1:], (2,) + nodes, nodes, (3,) + nodes, (9,) + nodes]:
+        size = math.prod(shape)
+        views.append(buffer[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 def _stacked_objective(
-    grid: SphericalGrid, q1: np.ndarray, padded2: np.ndarray, images: np.ndarray
+    grid: SphericalGrid, q1: np.ndarray, padded2: np.ndarray, images: np.ndarray, buffer=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """E(gamma) = |q1 - (q2 * gamma)|^2 for a stack of images (maps, n_v, n_u, 3).
 
-    padded2 is q2 as `srnf._sampled_field` prepares it.  Returns the
-    energies and a boolean mask of the admissible maps; a False entry
-    marks an orientation violation (non-positive Jacobian) and its
-    energy is meaningless.  The angles, the orientation check, the
-    sampled action and the residual sums run over the whole stack; the
-    Jacobian runs map by map.
+    padded2 is q2 as `srnf._sampled_field` prepares it, and buffer a
+    `_work_buffer` for at least the stack (fresh when not given); images
+    may be a view of its image planes, which this leaves as they are.
+    Returns the energies and a boolean mask of the admissible maps; a
+    False entry marks an orientation violation (non-positive Jacobian)
+    and its energy is meaningless.  The angles, the orientation check,
+    the sampled action and the residual sums run over the whole stack;
+    the Jacobian runs map by map.
     """
     maps = images.shape[0]
-    theta, phi = sphere_to_angles(images)
-    jac = np.empty(theta.shape)
+    if buffer is None:
+        buffer = _work_buffer(grid, maps)
+    _, angles, jac, diff, work = _stack_views(buffer, grid, maps)
+    theta, phi = sphere_to_angles(images, out=angles)
     for m in range(maps):
         jac[m] = jacobian_from_angles(grid, images[m])
     admissible = jac.reshape(maps, -1).min(axis=1) > 0.0
-    diff = _action_values(grid, padded2, theta, phi, jac)
-    np.subtract(q1, diff, out=diff)
+    _action_values(grid, padded2, theta, phi, jac, out=diff, work=work)
+    np.subtract(q1.transpose(2, 0, 1)[:, None], diff, out=diff)
     diff *= diff
-    energy = diff.reshape(maps, -1).sum(axis=1)
+    # Summed node by node, components last, as numpy sums a field, in the
+    # sampler's rows for one corner's values, which are free now.
+    square = work[6:].reshape(images.shape)
+    np.copyto(square, diff.transpose(1, 2, 3, 0))
+    energy = square.reshape(maps, -1).sum(axis=1)
     energy *= grid.cell_measure
     return energy, admissible
 
 
 def _action_objective(
-    grid: SphericalGrid, q1: np.ndarray, padded2: np.ndarray, image: np.ndarray
+    grid: SphericalGrid, q1: np.ndarray, padded2: np.ndarray, image: np.ndarray, buffer=None
 ):
     """E(gamma) for one explicit image, or None on an orientation violation,
     which the caller treats as an inadmissible step."""
-    energy, admissible = _stacked_objective(grid, q1, padded2, image[None])
+    energy, admissible = _stacked_objective(grid, q1, padded2, image[None], buffer)
     return float(energy[0]) if admissible[0] else None
 
 
@@ -172,24 +209,32 @@ def reparam_objective(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> float:
     return val
 
 
-def _basis_gradient(grid, q1, padded2, image, fields, h, e_center):
+def _basis_gradient(grid, q1, padded2, image, fields, h, e_center, buffer=None):
     """Centered directional finite differences along every basis field.
 
     The +h and -h maps of STENCIL_FIELDS consecutive fields are evaluated
-    as one stack.  A field with one inadmissible side falls back to the
-    one-sided difference from e_center; with both sides inadmissible its
-    entry is 0.
+    as one stack, in buffer (a `_work_buffer` for 2 STENCIL_FIELDS maps,
+    fresh when not given).  A field with one inadmissible side falls back
+    to the one-sided difference from e_center; with both sides
+    inadmissible its entry is 0.
     """
+    if buffer is None:
+        buffer = _work_buffer(grid, 2 * STENCIL_FIELDS)
     n_fields = fields.shape[0]
+    # The image in the planes' layout, so the flow adds like to like.
+    origin = image.transpose(2, 0, 1).copy().transpose(1, 2, 0)
     energy = np.empty((n_fields, 2))
     admissible = np.empty((n_fields, 2), dtype=bool)
     for start in range(0, n_fields, STENCIL_FIELDS):
         block = fields[start:start + STENCIL_FIELDS]
-        velocity = np.empty((len(block), 2) + image.shape)
-        np.multiply(block, h, out=velocity[:, 0])
-        np.negative(velocity[:, 0], out=velocity[:, 1])
-        images = flow_step(image, velocity.reshape((-1,) + image.shape))
-        e, ok = _stacked_objective(grid, q1, padded2, images)
+        planes, angles = _stack_views(buffer, grid, 2 * len(block))[:2]
+        # The +h and -h velocities of each field, then the maps they flow to.
+        pairs = planes.reshape((len(block), 2) + planes.shape[1:]).transpose(0, 1, 3, 4, 2)
+        np.multiply(block, h, out=pairs[:, 0])
+        np.negative(pairs[:, 0], out=pairs[:, 1])
+        images = planes.transpose(0, 2, 3, 1)
+        flow_step(origin, images, out=images, work=angles)
+        e, ok = _stacked_objective(grid, q1, padded2, images, buffer)
         energy[start:start + len(block)] = e.reshape(-1, 2)
         admissible[start:start + len(block)] = ok.reshape(-1, 2)
 
@@ -209,11 +254,12 @@ def reparam_gradient(q1: SrnfField, q2: SrnfField, image: np.ndarray) -> np.ndar
     """The optimizer's gradient of E over basis coefficients at an image."""
     grid = q1.grid
     padded2 = _sampled_field(q2.grid, q2.q)
-    e0 = _action_objective(grid, q1.q, padded2, image)
+    buffer = _work_buffer(grid, 2 * STENCIL_FIELDS)
+    e0 = _action_objective(grid, q1.q, padded2, image, buffer)
     if e0 is None:
         raise ValueError("image is not orientation preserving")
     fields = tangent_basis(image, BASIS_DEGREE)
-    return _basis_gradient(grid, q1.q, padded2, image, fields, GRAD_STEP, e0)
+    return _basis_gradient(grid, q1.q, padded2, image, fields, GRAD_STEP, e0, buffer)
 
 
 def optimize_reparam(
@@ -232,6 +278,14 @@ def optimize_reparam(
     Accepted flows accumulate multiplicatively on the current
     diffeomorphism.
 
+    The search owns one work buffer (`_work_buffer`), sized for one
+    stack: 18 doubles per node of each of its 2 STENCIL_FIELDS maps,
+    1.2 MB at 32x32.  Every stack of the stencil and every line-search
+    trial is evaluated inside it, so an evaluation allocates no array but
+    the per-map Jacobian's temporaries and a boolean mask of the
+    azimuths.  The buffer lives as long as the call, so concurrent
+    searches never share one.
+
     Returns the accumulated diffeomorphism and the non-increasing trace of
     accepted objective values.
     """
@@ -240,9 +294,10 @@ def optimize_reparam(
     opts = opts or RegistrationOpts()
     grid = q1.grid
     padded2 = _sampled_field(q2.grid, q2.q)
+    buffer = _work_buffer(grid, 2 * STENCIL_FIELDS)
     image = np.array(init.image if init is not None else grid.nodes())
 
-    energy = _action_objective(grid, q1.q, padded2, image)
+    energy = _action_objective(grid, q1.q, padded2, image, buffer)
     if energy is None:
         raise ValueError("initial diffeo is not orientation preserving")
     trace = [energy]
@@ -253,7 +308,7 @@ def optimize_reparam(
     step = STEP_INIT
     for _ in range(opts.max_iters):
         fields = tangent_basis(image, BASIS_DEGREE)
-        grad = _basis_gradient(grid, q1.q, padded2, image, fields, GRAD_STEP, energy)
+        grad = _basis_gradient(grid, q1.q, padded2, image, fields, GRAD_STEP, energy, buffer)
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
             break
@@ -261,12 +316,13 @@ def optimize_reparam(
 
         candidate = None
         cand_energy = None
+        planes, angles = _stack_views(buffer, grid, 1)[:2]
         while step >= STEP_FLOOR:
             velocity = np.tensordot(step * direction, fields, axes=1)
-            moved = flow_step(image, velocity)
-            e_cand = _action_objective(grid, q1.q, padded2, moved)
+            moved = flow_step(image, velocity, out=planes[0].transpose(1, 2, 0), work=angles[:, 0])
+            e_cand = _action_objective(grid, q1.q, padded2, moved, buffer)
             if e_cand is not None and e_cand < energy:
-                candidate, cand_energy = moved, e_cand
+                candidate, cand_energy = moved.copy(), e_cand
                 break
             step *= 0.5
         if candidate is None:

@@ -70,9 +70,10 @@ def register_cohort(
     numpy calls, so threads=2 is still slower than serial.  The loss is
     the lock passing between CPUs, not the pool: a `compare` process (3
     subjects per class at 32x32, max_iters=8, rounds=2, one BLAS thread)
-    took 1.41 s with --threads 2 against 1.17 s serial on 2 CPUs, and
-    1.13 s against 1.11 s pinned to one CPU (medians of 7 interleaved
-    runs each).  The results are identical to serial ones.
+    took 1.41 s with --threads 2 against 1.15 s serial on 2 CPUs, and
+    1.19 s against 1.31 s pinned to one CPU (medians of 7 interleaved
+    runs each, spread 0.2-0.5 s).  Each search owns its work buffer, so
+    the results are identical to serial ones.
     """
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -21,7 +21,6 @@ from .grids import (
     SphericalGrid,
     Surface,
     _padded_sample,
-    _per_component,
     _pole_padded,
     normal_field,
     sphere_to_angles,
@@ -95,18 +94,20 @@ def _sampled_field(grid: SphericalGrid, q: np.ndarray) -> np.ndarray:
 
 def _action_values(
     grid: SphericalGrid, padded: np.ndarray, theta: np.ndarray, phi: np.ndarray,
-    jac: np.ndarray
+    jac: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
     """Raw action values sqrt(max(J, 0) sin phi_grid) * smooth(gamma(s)), no checks.
 
     padded is `_sampled_field` q; theta, phi and jac are the image angles
-    and area-ratio Jacobian of one map or a stack of maps.
+    and area-ratio Jacobian of one map or a stack of maps.  Returns
+    component planes, shape (3,) + theta.shape; out and work are
+    `grids._padded_sample`'s, and work's first row then holds the root.
     """
-    values = _padded_sample(grid, padded, theta, phi)
-    root = np.maximum(jac, 0.0)
+    values = _padded_sample(grid, padded, theta, phi, out, work)
+    root = np.maximum(jac, 0.0, out=None if work is None else work[0])
     root *= grid.sin_phi[:, None]
     np.sqrt(root, out=root)
-    values *= _per_component(root, values.shape[-1])
+    values *= root
     return values
 
 
@@ -126,5 +127,5 @@ def srnf_action(q: SrnfField, g: Diffeo) -> SrnfField:
     if jac.min() <= 0.0:
         raise OrientationError("diffeo is not orientation preserving at some node")
     theta, phi = sphere_to_angles(g.image)
-    padded = _sampled_field(q.grid, q.q)
-    return SrnfField(grid=q.grid, q=_action_values(q.grid, padded, theta, phi, jac))
+    planes = _action_values(q.grid, _sampled_field(q.grid, q.q), theta, phi, jac)
+    return SrnfField(grid=q.grid, q=np.moveaxis(planes, 0, -1).copy())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from elastishape.diffeos import pullback, random_diffeo
 from elastishape.grids import Surface, make_grid
 from elastishape.registration import RegistrationOpts, register, rotate_surface
 from elastishape.shape_stats import (
@@ -37,15 +38,24 @@ def _rank3_model(grid):
     return mean, cohort, scores
 
 
-def test_register_cohort_threads_match_serial(grid16):
-    template = gen_surface("bumpy-sphere", grid16, amplitude=0.2, degree=2, seed=1)
+def test_register_cohort_threads_match_serial(grid32):
+    """Six planted subjects at 32x32, with searches long enough (6
+    iterations, 2 rounds) that the two workers' searches overlap, so
+    work shared between concurrent searches would show as a difference
+    from serial."""
+    template = gen_surface("bumpy-sphere", grid32, amplitude=0.2, degree=3, seed=1)
     cohort = [
-        rotate_surface(template, rotation_matrix("z", a)) for a in (0.1, -0.2, 0.3)
+        pullback(rotate_surface(template, rotation_matrix("z", 0.1 * s)),
+                 random_diffeo(grid32, s, 0.4))
+        for s in range(6)
     ]
-    serial = register_cohort(template, cohort, OPTS)
-    threaded = register_cohort(template, cohort, OPTS, threads=3)
+    opts = RegistrationOpts(max_iters=6, rounds=2, tol_rel=0.0)
+    serial = register_cohort(template, cohort, opts)
+    threaded = register_cohort(template, cohort, opts, threads=2)
     for a, b in zip(serial, threaded):
         assert a.distance == b.distance
+        assert a.objective_trace == b.objective_trace
+        assert np.array_equal(a.reparam.image, b.reparam.image)
         assert np.array_equal(a.aligned.points, b.aligned.points)
 
 
